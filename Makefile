@@ -12,12 +12,15 @@ test:
 
 # verify is the tier-1 gate: everything must pass before a change lands.
 # It builds and vets every package, runs the full test suite under the
-# race detector (which includes the golden-frame comparisons), and
+# race detector (which includes the golden-frame comparisons), reruns the
+# docserve soak and table-collaboration tests 20 times under it (their
+# interleavings vary run to run, so one pass proves little), and
 # smoke-fuzzes the datastream reader and the repaint equivalence oracle.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestSoak|TestTableCollab' ./internal/docserve
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzRepaint -fuzztime=10s .

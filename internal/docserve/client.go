@@ -55,9 +55,9 @@ type Client struct {
 	confirmed uint64
 	live      bool
 	attached  bool
-	// snapAcc assembles an in-progress chunked snapshot (snapr frames).
-	snapAcc *snapAccum
-	draining  bool // Resume is replaying the dead connection's leftovers
+	// snapAcc assembles an in-progress snapshot from its snapr frames.
+	snapAcc  *snapAccum
+	draining bool // Resume is replaying the dead connection's leftovers
 
 	nextClientSeq uint64
 	inflight      *inflightGroup
@@ -71,10 +71,9 @@ type Client struct {
 	pumpTimer *time.Timer
 
 	// Reusable send buffers: wire holds escaped physical bytes (under
-	// wmu); lineBuf/recBuf build op-group logical lines (owner goroutine).
+	// wmu); lineBuf builds op-group logical lines (owner goroutine).
 	wire    []byte
 	lineBuf []byte
-	recBuf  []byte
 
 	// DroppedPending counts local edits discarded by a snapshot resync (the
 	// host could not replay ops across the gap, so unconfirmed local work
@@ -133,15 +132,6 @@ type ClientOptions struct {
 	// HeartbeatEvery pings the host periodically so its idle timeout sees a
 	// live session even when the user stops typing (0 = no heartbeats).
 	HeartbeatEvery time.Duration
-	// HandshakeTimeout bounds each read during Connect/Resume catch-up
-	// when IdleTimeout is unset, so a server that accepts but never
-	// streams makes Connect fail instead of hang. Default 30s.
-	HandshakeTimeout time.Duration
-	// MaxGroup bounds records per op group. Default 256.
-	MaxGroup int
-	// InboxLen bounds frames queued between the reader goroutine and Pump.
-	// Default 1024.
-	InboxLen int
 	// OnRemoteOp, if set, is called (on the owner goroutine, from Pump)
 	// after each foreign committed op is applied.
 	OnRemoteOp func(seq uint64)
@@ -160,13 +150,6 @@ type ClientOptions struct {
 	// rand(0, min(BackoffCap, BackoffBase<<(n-1))). Defaults 50ms / 3s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// MaxAttempts caps dial attempts per outage before the client latches
-	// Failed. 0 means retry forever.
-	MaxAttempts int
-	// OfflineAfter is how many consecutive failed attempts demote
-	// Reconnecting to Offline (the user-visible "this outage is real").
-	// Default 3.
-	OfflineAfter int
 	// BackoffSeed seeds the jitter for reproducible schedules in tests.
 	// 0 seeds from the clock.
 	BackoffSeed int64
@@ -182,20 +165,30 @@ type ClientOptions struct {
 	// sets a non-replayable one aside as OfflinePath+".stale".
 	OfflineFS   persist.FS
 	OfflinePath string
+
+	// handshakeTimeout bounds each read during Connect/Resume catch-up
+	// when IdleTimeout is unset, so a server that accepts but never
+	// streams makes Connect fail instead of hang. Default 30s.
+	handshakeTimeout time.Duration
+	// maxAttempts caps dial attempts per outage before the client latches
+	// Failed. 0 means retry forever.
+	maxAttempts int
+	// offlineAfter is how many consecutive failed attempts demote
+	// Reconnecting to Offline (the user-visible "this outage is real").
+	// Default 3.
+	offlineAfter int
 }
 
+const (
+	// maxGroup bounds records per op group (at most MaxRecordsPerOp).
+	maxGroup = 256
+	// inboxLen bounds frames queued between the reader goroutine and Pump.
+	inboxLen = 1024
+)
+
 func (o ClientOptions) withDefaults() ClientOptions {
-	if o.MaxGroup <= 0 {
-		o.MaxGroup = 256
-	}
-	if o.MaxGroup > MaxRecordsPerOp {
-		o.MaxGroup = MaxRecordsPerOp
-	}
-	if o.InboxLen <= 0 {
-		o.InboxLen = 1024
-	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 30 * time.Second
+	if o.handshakeTimeout <= 0 {
+		o.handshakeTimeout = 30 * time.Second
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 50 * time.Millisecond
@@ -203,8 +196,8 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.BackoffCap <= 0 {
 		o.BackoffCap = 3 * time.Second
 	}
-	if o.OfflineAfter <= 0 {
-		o.OfflineAfter = 3
+	if o.offlineAfter <= 0 {
+		o.offlineAfter = 3
 	}
 	return o
 }
@@ -276,6 +269,7 @@ func (c *Client) Resume(conn net.Conn) error {
 	c.lastErr = nil
 	c.live = false
 	c.closed = false
+	c.snapAcc = nil // a partial snapshot died with the old connection
 	c.wmu.Lock()
 	c.conn = conn
 	c.bw = bufio.NewWriter(conn)
@@ -294,12 +288,12 @@ func (c *Client) Resume(conn net.Conn) error {
 
 // catchUp processes frames synchronously until the host says live. Every
 // catch-up read carries a deadline — IdleTimeout when set, else
-// HandshakeTimeout — so Connect/Resume fail instead of hanging on a
+// handshakeTimeout — so Connect/Resume fail instead of hanging on a
 // server that accepted the hello but never streams.
 func (c *Client) catchUp() error {
 	d := c.opts.IdleTimeout
 	if d <= 0 {
-		d = c.opts.HandshakeTimeout
+		d = c.opts.handshakeTimeout
 	}
 	fr := frameReader{br: c.br}
 	for {
@@ -323,7 +317,7 @@ func (c *Client) catchUp() error {
 // startReader spawns the connection reader for the current conn. It is the
 // inbox's only sender and closes it when the connection dies.
 func (c *Client) startReader() {
-	inbox := make(chan string, c.opts.InboxLen)
+	inbox := make(chan string, inboxLen)
 	c.inbox = inbox
 	conn, br, idle := c.conn, c.br, c.opts.IdleTimeout
 	go func() {
@@ -454,6 +448,11 @@ func (c *Client) Pump() error {
 				return c.frameErr(err)
 			}
 		default:
+			// A send that failed while these frames were handled is a
+			// transport loss like any other: heal it, don't report it.
+			if err := c.pumpLost(); err != nil {
+				return err
+			}
 			return c.lastErr
 		}
 	}
@@ -622,8 +621,6 @@ func (c *Client) fatal(err error) error {
 // handleFrame dispatches one server frame on the owner goroutine.
 func (c *Client) handleFrame(frame string) error {
 	switch verbOf(frame) {
-	case "snap":
-		return c.handleSnap(frame)
 	case "snapr":
 		return c.handleSnapRange(frame)
 	case "op":
@@ -676,24 +673,6 @@ func decodeSnapshot(b []byte, reg *class.Registry) (*text.Data, error) {
 	return doc, nil
 }
 
-func (c *Client) handleSnap(frame string) error {
-	parts := strings.SplitN(frame, " ", 4)
-	if len(parts) < 3 || parts[0] != "snap" {
-		return c.fatal(fmt.Errorf("%w: snap", errBadFrame))
-	}
-	epoch, err1 := strconv.ParseUint(parts[1], 10, 64)
-	seq, err2 := strconv.ParseUint(parts[2], 10, 64)
-	if err1 != nil || err2 != nil {
-		return c.fatal(fmt.Errorf("%w: snap header", errBadFrame))
-	}
-	body := ""
-	if len(parts) == 4 {
-		body = parts[3]
-	}
-	c.snapAcc = nil // a whole snapshot supersedes any partial range run
-	return c.applySnapshot(epoch, seq, []byte(body))
-}
-
 // snapAccum collects the snapr range frames of one chunked snapshot until
 // the announced total arrives.
 type snapAccum struct {
@@ -725,7 +704,7 @@ func (c *Client) handleSnapRange(frame string) error {
 		if offset != 0 {
 			return c.fatal(fmt.Errorf("docserve: snapshot range starts at offset %d, not 0", offset))
 		}
-		c.snapAcc = &snapAccum{epoch: epoch, seq: seq, total: total, buf: make([]byte, 0, total)}
+		c.snapAcc = &snapAccum{epoch: epoch, seq: seq, total: total}
 	}
 	acc := c.snapAcc
 	if epoch != acc.epoch || seq != acc.seq || total != acc.total || offset != len(acc.buf) {
@@ -736,6 +715,13 @@ func (c *Client) handleSnapRange(frame string) error {
 		c.snapAcc = nil
 		return c.fatal(errors.New("docserve: snapshot ranges overflow the announced size"))
 	}
+	if need := len(acc.buf) + len(body); need > cap(acc.buf) {
+		// total is the peer's claim, not a fact: grow in proportion to the
+		// bytes that have arrived, so a hostile header costs at most a few
+		// times what was actually sent. An honest snapshot of up to four
+		// frames gets its exact size at the first frame.
+		acc.buf = append(make([]byte, 0, min(total, 4*need)), acc.buf...)
+	}
 	acc.buf = append(acc.buf, body...)
 	if len(acc.buf) < total {
 		return nil
@@ -744,8 +730,8 @@ func (c *Client) handleSnapRange(frame string) error {
 	return c.applySnapshot(acc.epoch, acc.seq, acc.buf)
 }
 
-// applySnapshot installs a complete snapshot body — from one snap frame
-// or an assembled snapr run — as the confirmed state at (epoch, seq).
+// applySnapshot installs a complete snapshot body, assembled from its
+// snapr frames, as the confirmed state at (epoch, seq).
 func (c *Client) applySnapshot(epoch, seq uint64, body []byte) error {
 	snapDoc, err := decodeSnapshot(body, c.opts.Registry)
 	if err != nil {
@@ -896,6 +882,9 @@ func (c *Client) handleLive(frame string) error {
 	if len(f) != 2 {
 		return c.fatal(fmt.Errorf("%w: live", errBadFrame))
 	}
+	if c.snapAcc != nil {
+		return c.fatal(fmt.Errorf("%w: live before the snapshot completed", errBadFrame))
+	}
 	seq, err := strconv.ParseUint(f[1], 10, 64)
 	if err != nil || seq != c.confirmed {
 		return c.fatal(fmt.Errorf("docserve: live at %s but replica confirmed %d", f[1], c.confirmed))
@@ -1032,10 +1021,7 @@ func (c *Client) maybePromote() {
 	if !c.live || c.lastErr != nil || c.closed || c.inflight != nil || len(c.buffer) == 0 {
 		return
 	}
-	k := len(c.buffer)
-	if k > c.opts.MaxGroup {
-		k = c.opts.MaxGroup
-	}
+	k := min(len(c.buffer), maxGroup)
 	c.nextClientSeq++
 	c.inflight = &inflightGroup{clientSeq: c.nextClientSeq, recs: c.buffer[:k:k]}
 	c.buffer = append([]ops.Op(nil), c.buffer[k:]...)
@@ -1043,29 +1029,15 @@ func (c *Client) maybePromote() {
 }
 
 // sendGroup encodes and sends the in-flight group, building the logical
-// line in reusable buffers (encodeOpGroup is the string reference form).
-// Failures latch; the in-flight state is kept so Resume can re-send.
+// line in a reusable buffer. Failures latch; the in-flight state is kept
+// so Resume can re-send.
 func (c *Client) sendGroup() {
 	if c.draining {
 		return // the old connection is gone; Resume re-sends what matters
 	}
-	b := c.lineBuf[:0]
-	b = append(b, "op "...)
-	b = strconv.AppendUint(b, c.inflight.clientSeq, 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, c.confirmed, 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(len(c.inflight.recs)), 10)
-	b = append(b, ' ')
-	for _, r := range c.inflight.recs {
-		c.recBuf = ops.MustAppend(c.recBuf[:0], r)
-		b = strconv.AppendInt(b, int64(len(c.recBuf)), 10)
-		b = append(b, ':')
-		b = append(b, c.recBuf...)
-	}
-	c.lineBuf = b
+	c.lineBuf = appendOpGroup(c.lineBuf[:0], c.inflight.clientSeq, c.confirmed, c.inflight.recs)
 	c.wmu.Lock()
-	c.wire = datastream.AppendEscapedBytes(c.wire[:0], b)
+	c.wire = datastream.AppendEscapedBytes(c.wire[:0], c.lineBuf)
 	_, err := c.bw.Write(c.wire)
 	if err == nil {
 		err = c.bw.Flush()

@@ -1,7 +1,7 @@
 package docserve
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// scriptServer runs fn against the server end of a pipe and reports its
-// error on the returned channel.
-func scriptServer(sEnd net.Conn) (*bufio.Reader, *bufio.Writer) {
-	return bufio.NewReader(sEnd), bufio.NewWriter(sEnd)
+// snapLive is the catch-up a scripted server sends: doc as one snapshot
+// frame at (epoch, seq), then live.
+func snapLive(epoch, seq uint64, doc []byte) []byte {
+	return frames(appendSnapRange(nil, epoch, seq, len(doc), 0, doc), appendLive(nil, seq))
 }
 
 // TestClientRebaseDeterministic drives a client against a hand-written
@@ -28,8 +28,8 @@ func TestClientRebaseDeterministic(t *testing.T) {
 	go func() {
 		defer sEnd.Close() // script done; pipe writes are synchronous, all frames delivered
 		errc <- func() error {
-			br, bw := scriptServer(sEnd)
-			f, err := readFrame(br)
+			fr := readerOf(sEnd)
+			f, err := fr.next()
 			if err != nil {
 				return err
 			}
@@ -40,13 +40,10 @@ func TestClientRebaseDeterministic(t *testing.T) {
 			if hello.doc != "doc" || hello.clientID != "me" || hello.resume {
 				return fmt.Errorf("unexpected hello %+v", hello)
 			}
-			if err := writeFrame(bw, encodeSnap(5, 0, snap)); err != nil {
+			if _, err := sEnd.Write(snapLive(5, 0, snap)); err != nil {
 				return err
 			}
-			if err := writeFrame(bw, encodeLive(0)); err != nil {
-				return err
-			}
-			f, err = readFrame(br)
+			f, err = fr.next()
 			if err != nil {
 				return err
 			}
@@ -59,13 +56,8 @@ func TestClientRebaseDeterministic(t *testing.T) {
 			}
 			// Serialize a foreign insert at the same position FIRST, then
 			// commit the client's group after it.
-			if err := writeFrame(bw, encodeCommitted(1, "other", 1, "i 0 ZZ")); err != nil {
-				return err
-			}
-			if err := writeFrame(bw, encodeAck(1, 1, 2)); err != nil {
-				return err
-			}
-			return nil
+			_, err = sEnd.Write(frames(appendCommitted(nil, 1, "other", 1, "i 0 ZZ"), appendAck(nil, 1, 1, 2)))
+			return err
 		}()
 	}()
 
@@ -104,16 +96,15 @@ func TestClientAckMismatchIsFatal(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	go func() {
 		defer sEnd.Close()
-		br, bw := scriptServer(sEnd)
-		if _, err := readFrame(br); err != nil {
+		fr := readerOf(sEnd)
+		if _, err := fr.next(); err != nil {
 			return
 		}
-		_ = writeFrame(bw, encodeSnap(1, 0, snap))
-		_ = writeFrame(bw, encodeLive(0))
-		if _, err := readFrame(br); err != nil {
+		_, _ = sEnd.Write(snapLive(1, 0, snap))
+		if _, err := fr.next(); err != nil {
 			return
 		}
-		_ = writeFrame(bw, encodeAck(1, 5, 9)) // nonsense
+		_, _ = sEnd.Write(frames(appendAck(nil, 1, 5, 9))) // nonsense
 	}()
 
 	c, err := Connect(cEnd, "doc", ClientOptions{ClientID: "me", Registry: reg})
@@ -140,13 +131,11 @@ func TestClientSeqGapIsFatal(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	go func() {
 		defer sEnd.Close()
-		br, bw := scriptServer(sEnd)
-		if _, err := readFrame(br); err != nil {
+		if _, err := readerOf(sEnd).next(); err != nil {
 			return
 		}
-		_ = writeFrame(bw, encodeSnap(1, 0, snap))
-		_ = writeFrame(bw, encodeLive(0))
-		_ = writeFrame(bw, encodeCommitted(7, "other", 1, "i 0 ZZ"))
+		_, _ = sEnd.Write(snapLive(1, 0, snap))
+		_, _ = sEnd.Write(frames(appendCommitted(nil, 7, "other", 1, "i 0 ZZ")))
 	}()
 
 	c, err := Connect(cEnd, "doc", ClientOptions{ClientID: "me", Registry: reg})
@@ -160,20 +149,37 @@ func TestClientSeqGapIsFatal(t *testing.T) {
 	}
 }
 
+// TestClientRejectsHostileSnapshotSize: a snapr header's total is the
+// peer's claim. A server announcing an absurd size must not make the
+// client allocate it; the run that never completes is a protocol error.
+func TestClientRejectsHostileSnapshotSize(t *testing.T) {
+	cEnd, sEnd := net.Pipe()
+	go func() {
+		defer sEnd.Close()
+		if _, err := readerOf(sEnd).next(); err != nil {
+			return
+		}
+		_, _ = sEnd.Write(frames([]byte("snapr 1 0 4611686018427387904 0 x"), appendLive(nil, 0)))
+	}()
+	_, err := Connect(cEnd, "doc", ClientOptions{ClientID: "me", Registry: testReg(t)})
+	if !errors.Is(err, errBadFrame) {
+		t.Fatalf("want a protocol error, got %v", err)
+	}
+}
+
 // TestConnectTimesOutOnMuteServer: a server that accepts the hello but
-// never sends snap/live must fail Connect within the handshake deadline,
+// never streams its catch-up must fail Connect within the handshake deadline,
 // not hang forever (the default options used to carry no deadline at all).
 func TestConnectTimesOutOnMuteServer(t *testing.T) {
 	reg := testReg(t)
 	cEnd, sEnd := net.Pipe()
 	defer sEnd.Close()
 	go func() {
-		br := bufio.NewReader(sEnd)
-		_, _ = readFrame(br) // swallow the hello, then go mute
+		_, _ = readerOf(sEnd).next() // swallow the hello, then go mute
 	}()
 	start := time.Now()
 	_, err := Connect(cEnd, "doc", ClientOptions{
-		ClientID: "me", Registry: reg, HandshakeTimeout: 100 * time.Millisecond,
+		ClientID: "me", Registry: reg, handshakeTimeout: 100 * time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("connect to a mute server succeeded")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -89,10 +88,10 @@ func (h *Host) Drain(ctx context.Context) error {
 	// Encode the sidecar under the lock: the CRC must describe exactly the
 	// document df.Save is about to write, with the epoch/seq/client state
 	// of the same instant.
-	var state []byte
+	var state []string
 	if df != nil && h.fsys != nil {
 		if enc, err := persist.EncodeDocument(h.doc); err == nil {
-			state = h.encodeHostStateLocked(crc32.ChecksumIEEE(enc))
+			state = h.hostStateLocked(crc32.ChecksumIEEE(enc))
 		}
 	}
 	h.mu.Unlock()
@@ -105,10 +104,7 @@ func (h *Host) Drain(ctx context.Context) error {
 	}
 	var first error
 	if state != nil {
-		first = persist.AtomicWrite(h.fsys, HostStatePath(h.name), func(w io.Writer) error {
-			_, werr := w.Write(state)
-			return werr
-		})
+		first = persist.WriteRecordFile(h.fsys, HostStatePath(h.name), hostStateMagic, state)
 	}
 	if err := df.Close(); err != nil && first == nil {
 		first = err
@@ -120,9 +116,10 @@ func (h *Host) Drain(ctx context.Context) error {
 // the document file.
 func HostStatePath(path string) string { return path + ".host" }
 
-// hostStateMagic heads the sidecar; an unknown magic is ignored, never
-// "partially adopted".
-const hostStateMagic = "%atkhost1"
+// hostStateMagic heads the sidecar, a persist CRC record file read
+// strictly: any damage or unknown magic (a sidecar from an older format
+// included) means it is ignored, never "partially adopted".
+const hostStateMagic = "%atkhost2"
 
 // hostState is the decoded sidecar.
 type hostState struct {
@@ -132,89 +129,68 @@ type hostState struct {
 	clients map[string]*clientState
 }
 
-// encodeHostStateLocked renders the sidecar bytes. Host lock held.
-func (h *Host) encodeHostStateLocked(crc uint32) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\ncrc %08x\nepoch %d\nseq %d\n", hostStateMagic, crc, h.epoch, h.seq)
+// hostStateLocked renders the sidecar's records: "<crc> <epoch> <seq>",
+// then "<clientID> <seeded> <lastSeq> <clientSeq>:<n>:<hi>..." per client
+// identity. Host lock held.
+func (h *Host) hostStateLocked(crc uint32) []string {
+	recs := []string{fmt.Sprintf("%08x %d %d", crc, h.epoch, h.seq)}
 	for id, cs := range h.clients {
-		seeded := 0
-		if cs.seeded {
-			seeded = 1
-		}
-		fmt.Fprintf(&b, "client %s %d %d", id, seeded, cs.lastSeq)
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s %d %d", id, btoi(cs.seeded), cs.lastSeq)
 		for k, r := range cs.acks {
 			fmt.Fprintf(&b, " %d:%d:%d", k, r.n, r.hi)
 		}
-		b.WriteByte('\n')
+		recs = append(recs, b.String())
 	}
-	return []byte(b.String())
+	return recs
 }
 
-// decodeHostState parses sidecar bytes; any malformation fails the whole
-// decode (a half-adopted dedup state would be worse than none).
-func decodeHostState(s string) (*hostState, error) {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) < 4 || lines[0] != hostStateMagic {
-		return nil, fmt.Errorf("docserve: not a host-state sidecar")
+// decodeHostState parses the sidecar's records; any malformation fails
+// the whole decode (a half-adopted dedup state would be worse than none).
+func decodeHostState(recs []string) (*hostState, error) {
+	bad := func(rec string) (*hostState, error) {
+		return nil, fmt.Errorf("docserve: malformed host-state record %q", rec)
 	}
-	st := &hostState{clients: map[string]*clientState{}}
-	if _, err := fmt.Sscanf(lines[1], "crc %08x", &st.crc); err != nil {
-		return nil, fmt.Errorf("docserve: host-state crc line: %w", err)
+	if len(recs) == 0 {
+		return bad("")
 	}
-	var err1, err2 error
-	st.epoch, err1 = parseStateField(lines[2], "epoch")
-	st.seq, err2 = parseStateField(lines[3], "seq")
-	if err1 != nil {
-		return nil, err1
+	f := strings.Fields(recs[0])
+	if len(f) != 3 {
+		return bad(recs[0])
 	}
-	if err2 != nil {
-		return nil, err2
+	crc, e1 := strconv.ParseUint(f[0], 16, 32)
+	epoch, e2 := strconv.ParseUint(f[1], 10, 64)
+	seq, e3 := strconv.ParseUint(f[2], 10, 64)
+	if e1 != nil || e2 != nil || e3 != nil {
+		return bad(recs[0])
 	}
-	for _, line := range lines[4:] {
-		f := strings.Fields(line)
-		if len(f) < 4 || f[0] != "client" || !nameOK(f[1]) {
-			return nil, fmt.Errorf("docserve: host-state client line %q", line)
+	st := &hostState{crc: uint32(crc), epoch: epoch, seq: seq, clients: map[string]*clientState{}}
+	for _, rec := range recs[1:] {
+		f := strings.Fields(rec)
+		if len(f) < 3 || !nameOK(f[0]) || (f[1] != "0" && f[1] != "1") {
+			return bad(rec)
 		}
-		cs := &clientState{acks: map[uint64]ackRange{}}
-		switch f[2] {
-		case "0":
-		case "1":
-			cs.seeded = true
-		default:
-			return nil, fmt.Errorf("docserve: host-state seeded flag %q", f[2])
-		}
+		cs := &clientState{seeded: f[1] == "1", acks: map[uint64]ackRange{}}
 		var err error
-		if cs.lastSeq, err = strconv.ParseUint(f[3], 10, 64); err != nil {
-			return nil, fmt.Errorf("docserve: host-state lastSeq: %w", err)
+		if cs.lastSeq, err = strconv.ParseUint(f[2], 10, 64); err != nil {
+			return bad(rec)
 		}
-		for _, a := range f[4:] {
+		for _, a := range f[3:] {
 			parts := strings.Split(a, ":")
 			if len(parts) != 3 {
-				return nil, fmt.Errorf("docserve: host-state ack %q", a)
+				return bad(rec)
 			}
 			k, e1 := strconv.ParseUint(parts[0], 10, 64)
 			n, e2 := strconv.Atoi(parts[1])
 			hi, e3 := strconv.ParseUint(parts[2], 10, 64)
 			if e1 != nil || e2 != nil || e3 != nil || n < 0 {
-				return nil, fmt.Errorf("docserve: host-state ack %q", a)
+				return bad(rec)
 			}
 			cs.acks[k] = ackRange{n: n, hi: hi}
 		}
-		st.clients[f[1]] = cs
+		st.clients[f[0]] = cs
 	}
 	return st, nil
-}
-
-func parseStateField(line, name string) (uint64, error) {
-	rest, ok := strings.CutPrefix(line, name+" ")
-	if !ok {
-		return 0, fmt.Errorf("docserve: host-state %s line %q", name, line)
-	}
-	v, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("docserve: host-state %s: %w", name, err)
-	}
-	return v, nil
 }
 
 // adoptState resumes a drained predecessor's identity, called by
@@ -227,15 +203,15 @@ func parseStateField(line, name string) (uint64, error) {
 // costlier).
 func (h *Host) adoptState(fsys persist.FS, path string) {
 	sp := HostStatePath(path)
-	b, err := persist.ReadFile(fsys, sp)
-	if err != nil {
+	recs, err := persist.ReadRecordFile(fsys, sp, hostStateMagic)
+	if persist.IsNotExist(err) {
 		return
 	}
 	_ = fsys.Remove(sp)
-	if h.df == nil || h.df.Replayed != 0 {
-		return // committed ops landed after the drain's save; state is stale
+	if err != nil || h.df == nil || h.df.Replayed != 0 {
+		return // damaged, or committed ops landed after the drain's save
 	}
-	st, err := decodeHostState(string(b))
+	st, err := decodeHostState(recs)
 	if err != nil {
 		return
 	}

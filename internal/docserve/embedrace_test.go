@@ -12,14 +12,13 @@ import (
 // the orphaned object must become local-only — not shipped with a stale
 // anchor (which the host could never apply) and not an error.
 func TestTableCollabOrphanedByDelete(t *testing.T) {
-	reg := componentReg(t)
 	hostDoc := newDoc(t, "abcdef")
-	hostDoc.SetRegistry(reg)
+	hostDoc.SetRegistry(componentReg(t))
 	h := NewHost("d", hostDoc, HostOptions{})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
-	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	a := pipeClient(t, srv, "d", "alice", componentReg(t))
+	b := pipeClient(t, srv, "d", "bob", componentReg(t))
 
 	td := table.New(2, 2)
 	if err := a.Embed(3, td, ""); err != nil {
@@ -58,14 +57,13 @@ func TestTableCollabOrphanedByDelete(t *testing.T) {
 // so both tables must exist on every replica and both cell edits must
 // land — this is exactly what concurrent first-writers in loadgen do.
 func TestTableCollabEmbedRace(t *testing.T) {
-	reg := componentReg(t)
 	hostDoc := newDoc(t, "")
-	hostDoc.SetRegistry(reg)
+	hostDoc.SetRegistry(componentReg(t))
 	h := NewHost("d", hostDoc, HostOptions{})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
-	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	a := pipeClient(t, srv, "d", "alice", componentReg(t))
+	b := pipeClient(t, srv, "d", "bob", componentReg(t))
 
 	ta := table.New(2, 2)
 	tb := table.New(3, 3)

@@ -1,7 +1,6 @@
 package docserve
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -67,86 +66,39 @@ func (fb *frameBuf) appendLine(line string) {
 	fb.b = datastream.AppendEscaped(fb.b, line)
 }
 
-// Host-side wire encoders. They build the logical line in the host's
-// scratch buffer (host lock held) and escape it straight into the frame —
-// the append-path twins of the encode* string helpers in protocol.go,
-// which remain the reference forms (and the client/test path).
+// Host-side framing. The frame encoders in protocol.go build the logical
+// line in the host's scratch buffer (host lock held), which is then
+// escaped straight into the frame.
 
-// lineScratch grows a reusable logical-line buffer under the host lock.
+// lineScratch returns the reusable logical-line buffer, emptied. Host
+// lock held.
 func (h *Host) lineScratch() []byte { return h.encScratch[:0] }
 
-func (h *Host) doneScratch(sc []byte, fb *frameBuf) {
-	fb.b = datastream.AppendEscapedBytes(fb.b, sc)
-	if cap(sc) > maxPooledFrame { // a snapshot blew it up; let it go
-		sc = nil
+// frameLineLocked escapes one logical line, built on lineScratch, into fb
+// and keeps the line's storage as the next scratch. Host lock held.
+func (h *Host) frameLineLocked(fb *frameBuf, line []byte) {
+	fb.b = datastream.AppendEscapedBytes(fb.b, line)
+	if cap(line) > maxPooledFrame { // a snapshot blew it up; let it go
+		line = nil
 	}
-	h.encScratch = sc[:0]
+	h.encScratch = line[:0]
 }
 
-// appendCommittedLocked appends "op <seq> <clientID> <clientSeq> <wire>".
-func (h *Host) appendCommittedLocked(fb *frameBuf, seq uint64, clientID string, clientSeq uint64, wire string) {
-	sc := h.lineScratch()
-	sc = append(sc, "op "...)
-	sc = strconv.AppendUint(sc, seq, 10)
-	sc = append(sc, ' ')
-	sc = append(sc, clientID...)
-	sc = append(sc, ' ')
-	sc = strconv.AppendUint(sc, clientSeq, 10)
-	sc = append(sc, ' ')
-	sc = append(sc, wire...)
-	h.doneScratch(sc, fb)
-}
-
-// appendAckLocked appends "ok <clientSeq> <n> <hi>".
-func (h *Host) appendAckLocked(fb *frameBuf, clientSeq uint64, n int, hi uint64) {
-	sc := h.lineScratch()
-	sc = append(sc, "ok "...)
-	sc = strconv.AppendUint(sc, clientSeq, 10)
-	sc = append(sc, ' ')
-	sc = strconv.AppendInt(sc, int64(n), 10)
-	sc = append(sc, ' ')
-	sc = strconv.AppendUint(sc, hi, 10)
-	h.doneScratch(sc, fb)
-}
-
-// buildSnapFrames renders a document snapshot as wire frames: one classic
-// "snap" frame when the encoding fits the per-frame bound, else a run of
-// "snapr" range frames each carrying at most perFrame document bytes.
-// Unlike the Locked encoders above it uses only local scratch — snapshot
-// framing runs in attach's unlocked window, where escaping a 100 MB
-// document must not stall commits. Each returned frame holds one
-// reference owned by the caller.
+// buildSnapFrames renders a document snapshot as a run of "snapr" range
+// frames, each carrying at most perFrame document bytes; a document that
+// fits (an empty one included) is one frame at offset 0. Unlike the
+// framing above it uses only local scratch — snapshot framing runs in
+// attach's unlocked window, where escaping a 100 MB document must not
+// stall commits. Each returned frame holds one reference owned by the
+// caller.
 func buildSnapFrames(epoch, seq uint64, doc []byte, perFrame int) []*frameBuf {
-	if len(doc) <= perFrame {
-		fb := getFrame()
-		sc := make([]byte, 0, len(doc)+32)
-		sc = append(sc, "snap "...)
-		sc = strconv.AppendUint(sc, epoch, 10)
-		sc = append(sc, ' ')
-		sc = strconv.AppendUint(sc, seq, 10)
-		sc = append(sc, ' ')
-		sc = append(sc, doc...)
-		fb.b = datastream.AppendEscapedBytes(fb.b, sc)
-		return []*frameBuf{fb}
-	}
-	frames := make([]*frameBuf, 0, (len(doc)+perFrame-1)/perFrame)
-	scratch := make([]byte, 0, perFrame+64)
-	for off := 0; off < len(doc); off += perFrame {
+	frames := make([]*frameBuf, 0, max(1, (len(doc)+perFrame-1)/perFrame))
+	scratch := make([]byte, 0, min(perFrame, len(doc))+64)
+	for off := 0; off == 0 || off < len(doc); off += perFrame {
 		end := min(off+perFrame, len(doc))
 		fb := getFrame()
-		sc := scratch[:0]
-		sc = append(sc, "snapr "...)
-		sc = strconv.AppendUint(sc, epoch, 10)
-		sc = append(sc, ' ')
-		sc = strconv.AppendUint(sc, seq, 10)
-		sc = append(sc, ' ')
-		sc = strconv.AppendInt(sc, int64(len(doc)), 10)
-		sc = append(sc, ' ')
-		sc = strconv.AppendInt(sc, int64(off), 10)
-		sc = append(sc, ' ')
-		sc = append(sc, doc[off:end]...)
-		fb.b = datastream.AppendEscapedBytes(fb.b, sc)
-		scratch = sc
+		scratch = appendSnapRange(scratch[:0], epoch, seq, len(doc), off, doc[off:end])
+		fb.b = datastream.AppendEscapedBytes(fb.b, scratch)
 		frames = append(frames, fb)
 	}
 	return frames
@@ -157,12 +109,4 @@ func releaseFrames(frames []*frameBuf) {
 	for _, fb := range frames {
 		fb.release()
 	}
-}
-
-// appendLiveLocked appends "live <seq>".
-func (h *Host) appendLiveLocked(fb *frameBuf, seq uint64) {
-	sc := h.lineScratch()
-	sc = append(sc, "live "...)
-	sc = strconv.AppendUint(sc, seq, 10)
-	h.doneScratch(sc, fb)
 }

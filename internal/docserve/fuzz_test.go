@@ -1,8 +1,6 @@
 package docserve
 
 import (
-	"bufio"
-	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -12,6 +10,7 @@ import (
 
 	"atk/internal/class"
 	"atk/internal/datastream"
+	"atk/internal/ops"
 	"atk/internal/persist"
 	"atk/internal/text"
 )
@@ -31,14 +30,27 @@ func fuzzRegistry() *class.Registry {
 	return fuzzReg
 }
 
-// frames renders a frame sequence to raw wire bytes for the seed corpus.
-func frames(lines ...string) []byte {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
+// frames renders logical lines to raw wire bytes, escaped as every peer
+// sends them.
+func frames(lines ...[]byte) []byte {
+	var wire []byte
 	for _, l := range lines {
-		_ = writeFrame(w, l)
+		wire = datastream.AppendEscapedBytes(wire, l)
 	}
-	return buf.Bytes()
+	return wire
+}
+
+// decodeOps decodes record wire forms into ops for op-group frames.
+func decodeOps(payloads ...string) []ops.Op {
+	out := make([]ops.Op, len(payloads))
+	for i, p := range payloads {
+		op, err := ops.Decode(p)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = op
+	}
+	return out
 }
 
 // FuzzServerProtocol throws arbitrary bytes at a live file-backed host.
@@ -46,15 +58,16 @@ func frames(lines ...string) []byte {
 // keep its core invariant: the document reopened from disk (base plus
 // journal replay) is exactly the document the host is serving.
 func FuzzServerProtocol(f *testing.F) {
-	f.Add(frames(encodeHello("doc.d", "fz")))
-	f.Add(frames(encodeHello("doc.d", "fz"), encodeOpGroup(1, 0, []string{"i 0 hi"})))
-	f.Add(frames(encodeHello("doc.d", "fz"), encodeOpGroup(1, 0, []string{"i 0 a", "d 0 1", "s 0 2 bold"})))
-	f.Add(frames(encodeHello("doc.d", "fz"), "op 1 0 1 9999:i 0 x"))
-	f.Add(frames("hello atkdoc1 doc.d "+strings.Repeat("z", 300), "ping tok"))
+	hello := []byte(encodeHello("doc.d", "fz"))
+	f.Add(frames(hello))
+	f.Add(frames(hello, appendOpGroup(nil, 1, 0, decodeOps("i 0 hi"))))
+	f.Add(frames(hello, appendOpGroup(nil, 1, 0, decodeOps("i 0 a", "d 0 1", "s 0 2 bold"))))
+	f.Add(frames(hello, []byte("op 1 0 1 9999:i 0 x")))
+	f.Add(frames([]byte("hello atkdoc1 doc.d "+strings.Repeat("z", 300)), []byte("ping tok")))
 	f.Add([]byte("hello atkdoc1 doc.d fz\nop \\u41; \\q broken\n"))
 	f.Add([]byte(strings.Repeat("A", 70000) + "\n"))
 	f.Add([]byte("\\"))
-	f.Add(frames(encodeHello("doc.d", "fz"), "ping "+strings.Repeat("p", 500), "bye"))
+	f.Add(frames(hello, []byte("ping "+strings.Repeat("p", 500)), []byte("bye")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg := fuzzRegistry()

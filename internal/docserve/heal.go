@@ -36,13 +36,13 @@ import (
 
 // ConnState is the client connection-state machine:
 //
-//	Connected ──(loss)──> Reconnecting ──(OfflineAfter failures)──> Offline
+//	Connected ──(loss)──> Reconnecting ──(offlineAfter failures)──> Offline
 //	     ^                     │  │                                    │
-//	     └─────(resume ok)─────┘  └──(MaxAttempts exhausted)──> Failed ┘
+//	     └─────(resume ok)─────┘  └──(maxAttempts exhausted)──> Failed ┘
 //
 // Offline is still retrying — it is Reconnecting after enough consecutive
 // failures to tell the user the outage is real. Failed is terminal: the
-// supervisor has given up (MaxAttempts) or the error was a protocol
+// supervisor has given up (maxAttempts) or the error was a protocol
 // violation no redial can cure.
 type ConnState int32
 
@@ -104,7 +104,7 @@ type healEvent struct {
 	conn    net.Conn // non-nil: dial succeeded, owner must Resume and reply on healAck
 	err     error    // dial (or final) failure
 	attempt int      // dials performed so far this outage
-	gaveUp  bool     // MaxAttempts exhausted; the supervisor has exited
+	gaveUp  bool     // maxAttempts exhausted; the supervisor has exited
 }
 
 // backoffDelay is the redial schedule: full jitter over an exponentially
@@ -156,7 +156,6 @@ func (c *Client) beginHeal(cause error, retryAfter time.Duration) error {
 	c.lastErr = nil
 	c.connLost = false
 	c.resumeErr = nil
-	c.snapAcc = nil
 	c.attempts = 0
 	c.openOffline()
 	c.healing = true
@@ -172,7 +171,7 @@ func (c *Client) beginHeal(cause error, retryAfter time.Duration) error {
 }
 
 // runSupervisor is the dial engine: sleep the backoff, dial, hand the
-// result to the owner, repeat until a resume succeeds, MaxAttempts is
+// result to the owner, repeat until a resume succeeds, maxAttempts is
 // exhausted, or stop closes. It touches nothing of the client but the
 // rng (owner-created, supervisor-owned while running) and the channels.
 func (c *Client) runSupervisor(stop, done chan struct{}, minFirst time.Duration) {
@@ -198,7 +197,7 @@ func (c *Client) runSupervisor(stop, done chan struct{}, minFirst time.Duration)
 		attempt++
 		conn, err := c.opts.Dial()
 		if err != nil {
-			gaveUp := c.opts.MaxAttempts > 0 && attempt >= c.opts.MaxAttempts
+			gaveUp := c.opts.maxAttempts > 0 && attempt >= c.opts.maxAttempts
 			if !c.postHeal(stop, healEvent{err: err, attempt: attempt, gaveUp: gaveUp}) || gaveUp {
 				return
 			}
@@ -216,7 +215,7 @@ func (c *Client) runSupervisor(stop, done chan struct{}, minFirst time.Duration)
 			}
 			// The dial reached a server but Resume failed there (still
 			// draining, still restarting): a failed attempt like any other.
-			if c.opts.MaxAttempts > 0 && attempt >= c.opts.MaxAttempts {
+			if c.opts.maxAttempts > 0 && attempt >= c.opts.maxAttempts {
 				if c.postHeal(stop, healEvent{attempt: attempt, gaveUp: true}) {
 					return
 				}
@@ -267,9 +266,9 @@ func (c *Client) handleHealEvent(ev healEvent) {
 			// give-up report.
 			c.resumeErr = err
 			c.lastErr = nil
+			c.connLost = false
 			c.live = false
 			c.inbox = nil
-			c.snapAcc = nil
 			c.degradeState(ev.attempt, err)
 			select {
 			case c.healAck <- false:
@@ -303,21 +302,22 @@ func (c *Client) handleHealEvent(ev healEvent) {
 	c.degradeState(ev.attempt, ev.err)
 }
 
-// degradeState demotes Reconnecting to Offline after OfflineAfter
+// degradeState demotes Reconnecting to Offline after offlineAfter
 // consecutive failed attempts.
 func (c *Client) degradeState(attempts int, cause error) {
-	if c.healing && attempts >= c.opts.OfflineAfter && c.State() == StateReconnecting {
+	if c.healing && attempts >= c.opts.offlineAfter && c.State() == StateReconnecting {
 		c.setState(StateOffline, cause)
 	}
 }
 
 // endHeal completes a successful resume: back to Connected, count it,
-// and drop the offline journal if nothing is pending anymore.
+// and drop the offline journal if nothing is pending anymore. A send that
+// failed during the resume's catch-up (connLost) stays latched: the new
+// connection is already gone, and the next Pump heals again.
 func (c *Client) endHeal() {
 	c.healing = false
 	c.attempts = 0
 	c.resumeErr = nil
-	c.connLost = false
 	c.reconnects.Add(1)
 	c.setState(StateConnected, nil)
 	c.maybeDiscardOffline()

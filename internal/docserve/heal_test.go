@@ -169,8 +169,8 @@ func TestAutoResumeAfterCut(t *testing.T) {
 }
 
 // TestOfflineFailedStateTransitions walks the degradation ladder: a dial
-// that never succeeds demotes Reconnecting to Offline after OfflineAfter
-// failures and latches Failed when MaxAttempts is exhausted.
+// that never succeeds demotes Reconnecting to Offline after offlineAfter
+// failures and latches Failed when maxAttempts is exhausted.
 func TestOfflineFailedStateTransitions(t *testing.T) {
 	h := NewHost("down.d", newDoc(t, ""), HostOptions{})
 	srv := NewServer(HostOptions{})
@@ -179,8 +179,8 @@ func TestOfflineFailedStateTransitions(t *testing.T) {
 	var states []ConnState
 	c := healClient(t, &mu, &srv, "down.d", "down", func(o *ClientOptions) {
 		o.Dial = func() (net.Conn, error) { return nil, errors.New("host unreachable") }
-		o.MaxAttempts = 4
-		o.OfflineAfter = 2
+		o.maxAttempts = 4
+		o.offlineAfter = 2
 		o.OnState = func(s ConnState, err error) { states = append(states, s) }
 	})
 	_ = c.conn.Close()
@@ -216,7 +216,7 @@ func TestOfflineJournalCrashRecovery(t *testing.T) {
 	var mu sync.Mutex
 	c := healClient(t, &mu, &srv, "crash.d", "crasher", func(o *ClientOptions) {
 		o.Dial = func() (net.Conn, error) { return nil, errors.New("still down") }
-		o.MaxAttempts = 2
+		o.maxAttempts = 2
 		o.OfflineFS = fs
 		o.OfflinePath = jpath
 	})
@@ -270,7 +270,7 @@ func TestOfflineJournalStaleSetAside(t *testing.T) {
 	var mu sync.Mutex
 	c := healClient(t, &mu, &srv, "stale.d", "crasher", func(o *ClientOptions) {
 		o.Dial = func() (net.Conn, error) { return nil, errors.New("still down") }
-		o.MaxAttempts = 1
+		o.maxAttempts = 1
 		o.OfflineFS = fs
 		o.OfflinePath = jpath
 	})
@@ -417,40 +417,58 @@ func TestAdoptStateRejectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt the CRC line: the sidecar no longer describes the saved file.
 	sp := HostStatePath(path)
-	b, err := persist.ReadFile(fs, sp)
+	recs, err := persist.ReadRecordFile(fs, sp, hostStateMagic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(b), "crc ", "crc 0", 1)
-	if tampered == string(b) {
-		t.Fatal("tamper had no effect")
+	f := strings.Fields(recs[0])
+	wrong := "00000000"
+	if f[0] == wrong {
+		wrong = "00000001"
 	}
-	if err := persist.AtomicWrite(fs, sp, func(w io.Writer) error {
-		_, werr := w.Write([]byte(tampered))
-		return werr
-	}); err != nil {
-		t.Fatal(err)
+	tampers := []struct {
+		name  string
+		write func() error
+	}{
+		{"document crc no longer matches", func() error {
+			bad := append([]string{wrong + " " + f[1] + " " + f[2]}, recs[1:]...)
+			return persist.WriteRecordFile(fs, sp, hostStateMagic, bad)
+		}},
+		{"older hand-parsed format", func() error {
+			old := "%atkhost1\ncrc " + f[0] + "\nepoch " + f[1] + "\nseq " + f[2] + "\n"
+			return persist.AtomicWrite(fs, sp, func(w io.Writer) error {
+				_, werr := io.WriteString(w, old)
+				return werr
+			})
+		}},
 	}
-
-	h2, err := OpenHostFile(fs, path, reg, HostOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if persist.Exists(fs, sp) {
-		t.Fatal("rejected sidecar not removed")
-	}
-	if h2.epoch == h1.epoch {
-		t.Fatal("tampered sidecar adopted: epoch carried over")
-	}
-	if h2.seq != 0 {
-		t.Fatalf("tampered sidecar adopted: seq %d", h2.seq)
+	for _, tc := range tampers {
+		if err := tc.write(); err != nil {
+			t.Fatal(err)
+		}
+		h2, err := OpenHostFile(fs, path, reg, HostOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if persist.Exists(fs, sp) {
+			t.Fatalf("%s: rejected sidecar not removed", tc.name)
+		}
+		if h2.epoch == h1.epoch {
+			t.Fatalf("%s: sidecar adopted: epoch carried over", tc.name)
+		}
+		if h2.seq != 0 {
+			t.Fatalf("%s: sidecar adopted: seq %d", tc.name, h2.seq)
+		}
+		if err := h2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestHostStateSidecarRoundTrip pins the sidecar grammar: encode and
-// decode are inverses, and malformed sidecars fail whole.
+// TestHostStateSidecarRoundTrip pins the sidecar's records: encode and
+// decode are inverses, through the record file, and malformed records
+// fail the whole decode.
 func TestHostStateSidecarRoundTrip(t *testing.T) {
 	h := NewHost("rt.d", newDoc(t, ""), HostOptions{})
 	h.epoch = 77
@@ -461,10 +479,17 @@ func TestHostStateSidecarRoundTrip(t *testing.T) {
 		acks:    map[uint64]ackRange{40: {n: 2, hi: 1230}, 42: {n: 1, hi: 1234}},
 	}
 	h.clients["bob"] = &clientState{acks: map[uint64]ackRange{}}
-	enc := h.encodeHostStateLocked(0xdeadbeef)
-	st, err := decodeHostState(string(enc))
+	fs := persist.NewMemFS()
+	if err := persist.WriteRecordFile(fs, "rt.d.host", hostStateMagic, h.hostStateLocked(0xdeadbeef)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := persist.ReadRecordFile(fs, "rt.d.host", hostStateMagic)
 	if err != nil {
-		t.Fatalf("decode: %v\n%s", err, enc)
+		t.Fatal(err)
+	}
+	st, err := decodeHostState(recs)
+	if err != nil {
+		t.Fatalf("decode: %v\n%q", err, recs)
 	}
 	if st.crc != 0xdeadbeef || st.epoch != 77 || st.seq != 1234 {
 		t.Fatalf("decoded header %+v", st)
@@ -479,17 +504,19 @@ func TestHostStateSidecarRoundTrip(t *testing.T) {
 		t.Fatalf("decoded bob %+v", b)
 	}
 
-	for _, bad := range []string{
-		"",
-		"%atkother\ncrc 00000001\nepoch 1\nseq 1\n",
-		"%atkhost1\ncrc nope\nepoch 1\nseq 1\n",
-		"%atkhost1\ncrc 00000001\nepoch x\nseq 1\n",
-		"%atkhost1\ncrc 00000001\nepoch 1\nseq 1\nclient b@d 1 2\n",
-		"%atkhost1\ncrc 00000001\nepoch 1\nseq 1\nclient a 7 2\n",
-		"%atkhost1\ncrc 00000001\nepoch 1\nseq 1\nclient a 1 2 3:4\n",
+	for _, bad := range [][]string{
+		nil,
+		{"nope 1 1"},
+		{"00000001 x 1"},
+		{"00000001 1 1 1"},
+		{"00000001 1 1", "b@d 1 2"},
+		{"00000001 1 1", "a 7 2"},
+		{"00000001 1 1", "a 1"},
+		{"00000001 1 1", "a 1 2 3:4"},
+		{"00000001 1 1", "a 1 2 3:-4:5"},
 	} {
 		if _, err := decodeHostState(bad); err == nil {
-			t.Fatalf("malformed sidecar accepted:\n%s", bad)
+			t.Fatalf("malformed sidecar accepted: %q", bad)
 		}
 	}
 }

@@ -27,10 +27,6 @@ import (
 
 // HostOptions tune one served document. The zero value gets sane defaults.
 type HostOptions struct {
-	// HistoryLimit is how many committed ops the host keeps in memory for
-	// op-level resync. A reconnect whose gap exceeds it falls back to a
-	// full snapshot. Default 4096.
-	HistoryLimit int
 	// QueueLen bounds each session's outbound queue. A session whose queue
 	// is full when a broadcast arrives is a slow consumer and is
 	// disconnected — fan-out never blocks on one laggard and never buffers
@@ -41,25 +37,12 @@ type HostOptions struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds one outbound frame write. Default 10s.
 	WriteTimeout time.Duration
-	// MaxSessions bounds concurrent sessions per document. Default 1024.
-	MaxSessions int
-	// ClientRetention is how long a disconnected client identity's dedup
-	// state (last group seq + recent acks) is kept for reconnect
-	// idempotence. State older than this is pruned; a client resuming
-	// after that gets a snapshot resync and starts a fresh dedup history.
-	// Default 10m.
-	ClientRetention time.Duration
-	// MaxClients bounds the client-identity map outright (a hostile peer
-	// minting fresh IDs at connection rate must not grow it without
-	// limit): past the bound, the longest-idle disconnected identities
-	// are evicted early. Default 4 * MaxSessions.
-	MaxClients int
-	// MaxSnapshotBytes bounds how many document bytes one snapshot frame
-	// carries. A document whose encoding fits is served as a single
-	// classic "snap" frame; a bigger one streams as a run of "snapr"
-	// range frames, each at most this large — so this is a framing knob,
-	// not a document-size ceiling. Defaults to (and is clamped to) the
-	// protocol frame limit less header room.
+	// MaxSnapshotBytes bounds how many document bytes one "snapr" snapshot
+	// frame carries. A document whose encoding fits is served as one
+	// frame; a bigger one streams as a run of range frames, each at most
+	// this large — so this is a framing knob, not a document-size ceiling.
+	// Defaults to (and is clamped to) the protocol frame limit less header
+	// room.
 	MaxSnapshotBytes int
 	// MaxDocBytes, when positive, bounds the served document's encoded
 	// size outright: a commit that would push the encoding past it is
@@ -70,11 +53,30 @@ type HostOptions struct {
 	// DrainRetryAfter is the retry-after hint a graceful drain's bye frame
 	// carries: clients should not redial sooner. Default 1s.
 	DrainRetryAfter time.Duration
+
+	// historyLimit is how many committed ops the host keeps in memory for
+	// op-level resync. A reconnect whose gap exceeds it falls back to a
+	// full snapshot. Default 4096.
+	historyLimit int
+	// clientRetention is how long a disconnected client identity's dedup
+	// state (last group seq + recent acks) is kept for reconnect
+	// idempotence. State older than this is pruned; a client resuming
+	// after that gets a snapshot resync and starts a fresh dedup history.
+	// Default 10m.
+	clientRetention time.Duration
+	// maxClients bounds the client-identity map outright (a hostile peer
+	// minting fresh IDs at connection rate must not grow it without
+	// limit): past the bound, the longest-idle disconnected identities
+	// are evicted early. Default 4 * maxSessions.
+	maxClients int
 }
 
+// maxSessions bounds concurrent sessions per document.
+const maxSessions = 1024
+
 func (o HostOptions) withDefaults() HostOptions {
-	if o.HistoryLimit <= 0 {
-		o.HistoryLimit = 4096
+	if o.historyLimit <= 0 {
+		o.historyLimit = 4096
 	}
 	if o.QueueLen <= 0 {
 		o.QueueLen = 256
@@ -85,14 +87,11 @@ func (o HostOptions) withDefaults() HostOptions {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 10 * time.Second
 	}
-	if o.MaxSessions <= 0 {
-		o.MaxSessions = 1024
+	if o.clientRetention <= 0 {
+		o.clientRetention = 10 * time.Minute
 	}
-	if o.ClientRetention <= 0 {
-		o.ClientRetention = 10 * time.Minute
-	}
-	if o.MaxClients <= 0 {
-		o.MaxClients = 4 * o.MaxSessions
+	if o.maxClients <= 0 {
+		o.maxClients = 4 * maxSessions
 	}
 	if o.MaxSnapshotBytes <= 0 || o.MaxSnapshotBytes > maxServeBytes {
 		o.MaxSnapshotBytes = maxServeBytes
@@ -104,8 +103,8 @@ func (o HostOptions) withDefaults() HostOptions {
 }
 
 // maxServeBytes is the hard ceiling on one snapshot frame's document
-// bytes: the snap/snapr frame must decode within MaxFrameBytes on the
-// client, header included.
+// bytes: the snapr frame must decode within MaxFrameBytes on the client,
+// header included.
 const maxServeBytes = MaxFrameBytes - 64
 
 // committedOp is one op in the authoritative order.
@@ -118,8 +117,8 @@ type committedOp struct {
 
 // clientState is what the host remembers about a client identity across
 // sessions (reconnects), for idempotent re-sends. Identities are not kept
-// forever: once no session holds one, it expires after ClientRetention
-// (or earlier under MaxClients pressure) — otherwise every clientID ever
+// forever: once no session holds one, it expires after clientRetention
+// (or earlier under maxClients pressure) — otherwise every clientID ever
 // seen would leak a map entry for the host's lifetime.
 type clientState struct {
 	lastSeq uint64
@@ -146,15 +145,15 @@ const ackRetain = 64
 
 // pruneClientsLocked expires disconnected client identities: every one
 // idle past the retention window, then — while the map still exceeds
-// MaxClients — the longest-idle remainder. Live identities are never
-// evicted (MaxSessions already bounds those).
+// maxClients — the longest-idle remainder. Live identities are never
+// evicted (maxSessions already bounds those).
 func (h *Host) pruneClientsLocked(now time.Time) {
 	for id, cs := range h.clients {
-		if cs.sessions == 0 && now.Sub(cs.idleSince) >= h.opts.ClientRetention {
+		if cs.sessions == 0 && now.Sub(cs.idleSince) >= h.opts.clientRetention {
 			delete(h.clients, id)
 		}
 	}
-	for len(h.clients) > h.opts.MaxClients {
+	for len(h.clients) > h.opts.maxClients {
 		oldestID := ""
 		var oldest time.Time
 		for id, cs := range h.clients {
@@ -189,8 +188,9 @@ type Host struct {
 	clients  map[string]*clientState
 	nextSID  uint64
 	closed   bool
-	// draining rejects new attaches while in-flight commits still land
-	// (the bye -> queue-flush window of a graceful drain).
+	// draining rejects new attaches and drops op groups from the drain's
+	// bye on, so the bye is the last frame every session gets (see
+	// commitGroup).
 	draining bool
 	// fsys is where the host-state sidecar goes on drain; set by
 	// OpenHostFile, nil for memory-only hosts.
@@ -206,9 +206,8 @@ type Host struct {
 	exactOK   bool
 	exactSeq  uint64
 	exactSize int
-	// snapFrames caches the encoded snapshot frames (one snap frame, or a
-	// run of snapr range frames) for the state at snapSeq, so a burst of
-	// joins costs one document encode, not one per session.
+	// snapFrames caches the encoded snapr frames for the state at snapSeq,
+	// so a burst of joins costs one document encode, not one per session.
 	snapFrames []*frameBuf
 	snapSeq    uint64
 	// encScratch is the reusable logical-line build buffer (see frame.go).
@@ -364,10 +363,14 @@ func (h *Host) Close() error {
 func (h *Host) commitGroup(s *session, g opGroupMsg) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		// The document is already saved (Close/Drain); applying now would
-		// commit an op durability never sees.
-		h.failLocked(s, "document "+h.name+" is shutting down")
+	if _, ok := h.sessions[s]; !ok || h.draining {
+		// The session died (or was superseded by its client's next one, or
+		// by Close saving the document) while this group was read, or a
+		// drain already said bye. Committing it now would fan it out behind
+		// the client's back, or behind the bye, where a client healing on
+		// the bye never reads it and resumes behind the restarted host,
+		// which keeps no op history to replay. The client still holds the
+		// group and re-sends it after it resumes.
 		return
 	}
 	cs := h.clients[s.clientID]
@@ -381,7 +384,7 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 	if cs.seeded {
 		if g.clientSeq <= cs.lastSeq {
 			if r, ok := cs.acks[g.clientSeq]; ok {
-				h.enqueueLineLocked(s, encodeAck(g.clientSeq, r.n, r.hi))
+				h.sendAckLocked(s, g.clientSeq, r.n, r.hi)
 				return
 			}
 			h.failLocked(s, "duplicate op older than the dedup window")
@@ -467,7 +470,7 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 	// socket write per receiving session, however many ops committed.
 	var fan *frameBuf
 	n := 0
-	groupHasText := false
+	groupHasText, groupHasStyle := false, false
 	for _, op := range group {
 		if err := ops.Apply(h.doc, op); err != nil {
 			// The transform guarantees applicability for honest clients; a
@@ -475,7 +478,8 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 			// already applied is committed — fan it out and ack it before
 			// killing the session.
 			h.flushFanLocked(s, fan, n)
-			h.sendAckLocked(s, cs, g.clientSeq, n, h.seq)
+			h.recordAckLocked(cs, g.clientSeq, n, h.seq)
+			h.sendAckLocked(s, g.clientSeq, n, h.seq)
 			h.failLocked(s, fmt.Sprintf("inapplicable op after rebase: %v", err))
 			return
 		}
@@ -485,6 +489,7 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 		switch op.Kind {
 		case ops.KindText:
 			groupHasText = true
+			groupHasStyle = groupHasStyle || op.Text.Kind == text.RecStyle
 		case ops.KindTable:
 			// Table ops move no text positions and touch no style runs:
 			// they can never desynchronize run boundaries, so a table-only
@@ -498,7 +503,7 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 		}
 		wire := ops.MustEncode(op)
 		h.hist = append(h.hist, committedOp{seq: h.seq, clientID: s.clientID, clientSeq: g.clientSeq, wire: wire})
-		if over := len(h.hist) - h.opts.HistoryLimit; over > 0 {
+		if over := len(h.hist) - h.opts.historyLimit; over > 0 {
 			h.hist = h.hist[over:]
 		}
 		if h.df != nil {
@@ -509,7 +514,7 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 		if fan == nil {
 			fan = getFrame()
 		}
-		h.appendCommittedLocked(fan, h.seq, s.clientID, g.clientSeq, wire)
+		h.frameLineLocked(fan, appendCommitted(h.lineScratch(), h.seq, s.clientID, g.clientSeq, wire))
 	}
 	h.opsApplied += uint64(n)
 	if n == 0 {
@@ -527,22 +532,26 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 	// wins, so the checkpoint lands last on every replica and pins the
 	// runs to the server's exactly. It rides the group's fan frame for the
 	// other sessions and follows the ack in the originator's frame, where
-	// it arrives as the eagerly-applied foreign op at hi+1.
+	// it arrives as the eagerly-applied foreign op at hi+1. A group with
+	// style records needs one even when the host ends up with no runs: the
+	// originator applied those records in its own order, and an insert it
+	// typed inside a run it had just styled may have grown that run there
+	// while the same insert lands at the run's edge here.
 	ckWire := ""
 	var ckSeq uint64
-	if n > 0 && groupHasText && (hadRuns || len(h.doc.Runs()) > 0) {
+	if n > 0 && groupHasText && (hadRuns || groupHasStyle || len(h.doc.Runs()) > 0) {
 		ckSeq, ckWire = h.commitStyleCheckpointLocked()
 		if fan == nil {
 			fan = getFrame()
 		}
-		h.appendCommittedLocked(fan, ckSeq, hostOrigin, 0, ckWire)
+		h.frameLineLocked(fan, appendCommitted(h.lineScratch(), ckSeq, hostOrigin, 0, ckWire))
 	}
 	h.flushFanLocked(s, fan, n+btoi(ckWire != ""))
 
 	af := getFrame()
-	h.appendAckLocked(af, g.clientSeq, n, hi)
+	h.frameLineLocked(af, appendAck(h.lineScratch(), g.clientSeq, n, hi))
 	if ckWire != "" {
-		h.appendCommittedLocked(af, ckSeq, hostOrigin, 0, ckWire)
+		h.frameLineLocked(af, appendCommitted(h.lineScratch(), ckSeq, hostOrigin, 0, ckWire))
 		h.broadcasts++
 	}
 	h.recordAckLocked(cs, g.clientSeq, n, hi)
@@ -593,7 +602,7 @@ func (h *Host) commitStyleCheckpointLocked() (seq uint64, wire string) {
 	h.seq++
 	wire = text.EncodeRecord(rec)
 	h.hist = append(h.hist, committedOp{seq: h.seq, clientID: hostOrigin, wire: wire})
-	if over := len(h.hist) - h.opts.HistoryLimit; over > 0 {
+	if over := len(h.hist) - h.opts.historyLimit; over > 0 {
 		h.hist = h.hist[over:]
 	}
 	if h.df != nil {
@@ -618,12 +627,11 @@ func (h *Host) recordAckLocked(cs *clientState, clientSeq uint64, n int, hi uint
 	}
 }
 
-// sendAckLocked records and sends the ack for a committed group (the
-// error path; the happy path coalesces the ack with the style checkpoint).
-func (h *Host) sendAckLocked(s *session, cs *clientState, clientSeq uint64, n int, hi uint64) {
-	h.recordAckLocked(cs, clientSeq, n, hi)
+// sendAckLocked queues one ack frame for s: the dedup answer and the
+// error path (the happy path coalesces the ack with the style checkpoint).
+func (h *Host) sendAckLocked(s *session, clientSeq uint64, n int, hi uint64) {
 	fb := getFrame()
-	h.appendAckLocked(fb, clientSeq, n, hi)
+	h.frameLineLocked(fb, appendAck(h.lineScratch(), clientSeq, n, hi))
 	h.enqueueDataLocked(s, fb, time.Now())
 	fb.release()
 }
@@ -682,8 +690,9 @@ type Stats struct {
 	SlowConsumerKicks uint64
 	ProtocolErrors    uint64
 	SnapResyncs       uint64
-	// SnapChunks counts snapr range frames staged for chunked snapshot
-	// delivery (zero while every served document fits one snap frame).
+	// SnapChunks counts the snapr frames staged for snapshot attaches that
+	// needed more than one frame (zero while every served document fits
+	// one frame).
 	SnapChunks    uint64
 	OpResyncs     uint64
 	JournalErrors uint64

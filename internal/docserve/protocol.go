@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"atk/internal/datastream"
+	"atk/internal/ops"
 )
 
 // Wire protocol. Every message is one logical line framed with the
@@ -27,7 +28,6 @@ import (
 //
 // Server -> client:
 //
-//	snap <epoch> <seq> <document bytes>            full-document resync
 //	snapr <epoch> <seq> <total> <offset> <chunk>   one snapshot range frame:
 //	                                               chunk is bytes
 //	                                               [offset, offset+len) of a
@@ -35,6 +35,9 @@ import (
 //	                                               arrive in order, gapless,
 //	                                               and the snapshot applies
 //	                                               when offset+len == total
+//	                                               (a document that fits one
+//	                                               frame is one snapr at
+//	                                               offset 0)
 //	op <seq> <clientID> <clientSeq> <payload>      one committed edit
 //	ok <clientSeq> <n> <hi>                        ack: group committed as
 //	                                               n records ending at hi
@@ -79,73 +82,14 @@ var (
 	errBadFrame     = errors.New("docserve: malformed frame")
 )
 
-// writeFrame writes one logical line to w and flushes.
-func writeFrame(w *bufio.Writer, line string) error {
-	for _, ph := range datastream.EscapeLines(line) {
-		if _, err := w.WriteString(ph); err != nil {
-			return err
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
-}
-
-// readFrame reads one logical line from r, joining continuation-wrapped
-// physical lines and undoing the escape scheme.
-func readFrame(r *bufio.Reader) (string, error) {
-	var b strings.Builder
-	for {
-		line, err := readPhysicalLine(r)
-		if err != nil {
-			return "", err
-		}
-		cont, derr := datastream.DecodeLine(&b, line)
-		if derr != nil {
-			return "", fmt.Errorf("%w: %v", errBadFrame, derr)
-		}
-		if b.Len() > MaxFrameBytes {
-			return "", errFrameTooLong
-		}
-		if !cont {
-			return b.String(), nil
-		}
-	}
-}
-
-// readPhysicalLine reads one newline-terminated line, accumulating at most
-// MaxPhysicalLine bytes. A line that keeps going past the cap aborts with
-// errFrameTooLong *before* being buffered — a peer streaming bytes with no
-// newline (pre-hello, unauthenticated) must cost bounded memory, which a
-// whole-line ReadString would not guarantee.
-func readPhysicalLine(r *bufio.Reader) (string, error) {
-	var buf []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		buf = append(buf, chunk...)
-		switch err {
-		case bufio.ErrBufferFull:
-			if len(buf) > MaxPhysicalLine {
-				return "", errFrameTooLong
-			}
-		case nil:
-			buf = buf[:len(buf)-1] // strip the newline
-			if len(buf) > MaxPhysicalLine {
-				return "", errFrameTooLong
-			}
-			return string(buf), nil
-		default:
-			return "", err
-		}
-	}
-}
-
-// frameReader reads logical lines like readFrame but amortizes the
-// buffers: the physical-line scratch and the decode scratch live across
-// frames, so a long-lived session reader (server or client) costs one
-// string allocation per frame instead of rebuilding the plumbing each
-// time. readFrame remains the stateless reference form.
+// frameReader reads logical lines: it joins continuation-wrapped physical
+// lines and undoes the escape scheme. The physical-line scratch and the
+// decode scratch live across frames, so a long-lived session reader
+// (server or client) costs one string allocation per frame. Physical
+// lines are read with bounded memory: a line that keeps going past
+// MaxPhysicalLine aborts with errFrameTooLong before it is buffered — a
+// peer streaming bytes with no newline (pre-hello, unauthenticated) must
+// cost bounded memory, which a whole-line ReadString would not guarantee.
 type frameReader struct {
 	br   *bufio.Reader
 	line []byte // physical-line overflow scratch
@@ -173,10 +117,10 @@ func (fr *frameReader) next() (string, error) {
 	}
 }
 
-// readLine reads one newline-terminated physical line under the same
-// bounded-memory rules as readPhysicalLine. The returned slice aliases
-// either the bufio buffer (the common whole-line-in-buffer case — no
-// copy) or fr.line; it is valid until the next readLine call.
+// readLine reads one newline-terminated physical line of at most
+// MaxPhysicalLine bytes. The returned slice aliases either the bufio
+// buffer (the common whole-line-in-buffer case — no copy) or fr.line; it
+// is valid until the next readLine call.
 func (fr *frameReader) readLine() ([]byte, error) {
 	chunk, err := fr.br.ReadSlice('\n')
 	if err == nil {
@@ -269,17 +213,28 @@ func parseHello(frame string) (helloMsg, error) {
 	}
 }
 
-// encodeOpGroup renders a client op group. Payloads are the text package's
-// record wire forms.
-func encodeOpGroup(clientSeq, baseSeq uint64, payloads []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "op %d %d %d ", clientSeq, baseSeq, len(payloads))
-	for _, p := range payloads {
-		b.WriteString(strconv.Itoa(len(p)))
-		b.WriteByte(':')
-		b.WriteString(p)
+// appendOpGroup appends the client op group line
+// "op <clientSeq> <baseSeq> <k> <len>:<payload>...".
+func appendOpGroup(dst []byte, clientSeq, baseSeq uint64, recs []ops.Op) []byte {
+	dst = append(dst, "op "...)
+	dst = strconv.AppendUint(dst, clientSeq, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, baseSeq, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(len(recs)), 10)
+	dst = append(dst, ' ')
+	for _, r := range recs {
+		// Encode the record in place, then open room in front of it for
+		// its length prefix: one buffer, no per-record scratch.
+		start := len(dst)
+		dst = ops.MustAppend(dst, r)
+		var pre [24]byte
+		p := append(strconv.AppendInt(pre[:0], int64(len(dst)-start), 10), ':')
+		dst = append(dst, p...)
+		copy(dst[start+len(p):], dst[start:len(dst)-len(p)])
+		copy(dst[start:], p)
 	}
-	return b.String()
+	return dst
 }
 
 // opGroupMsg is a parsed client op group.
@@ -337,21 +292,49 @@ func parseOpGroup(frame string) (opGroupMsg, error) {
 	return g, nil
 }
 
-// Server-side frames.
+// Server-side frames. Each encoder appends one logical line; the caller
+// escapes it onto the wire (see frameBuf).
 
-func encodeSnap(epoch, seq uint64, doc []byte) string {
-	return fmt.Sprintf("snap %d %d %s", epoch, seq, doc)
+// appendCommitted appends "op <seq> <clientID> <clientSeq> <payload>".
+func appendCommitted(dst []byte, seq uint64, clientID string, clientSeq uint64, payload string) []byte {
+	dst = append(dst, "op "...)
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, ' ')
+	dst = append(dst, clientID...)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, clientSeq, 10)
+	dst = append(dst, ' ')
+	return append(dst, payload...)
 }
 
-func encodeCommitted(seq uint64, clientID string, clientSeq uint64, payload string) string {
-	return fmt.Sprintf("op %d %s %d %s", seq, clientID, clientSeq, payload)
+// appendAck appends "ok <clientSeq> <n> <hi>".
+func appendAck(dst []byte, clientSeq uint64, n int, hi uint64) []byte {
+	dst = append(dst, "ok "...)
+	dst = strconv.AppendUint(dst, clientSeq, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst = append(dst, ' ')
+	return strconv.AppendUint(dst, hi, 10)
 }
 
-func encodeAck(clientSeq uint64, n int, hi uint64) string {
-	return fmt.Sprintf("ok %d %d %d", clientSeq, n, hi)
+// appendLive appends "live <seq>".
+func appendLive(dst []byte, seq uint64) []byte {
+	return strconv.AppendUint(append(dst, "live "...), seq, 10)
 }
 
-func encodeLive(seq uint64) string { return fmt.Sprintf("live %d", seq) }
+// appendSnapRange appends "snapr <epoch> <seq> <total> <offset> <chunk>".
+func appendSnapRange(dst []byte, epoch, seq uint64, total, offset int, chunk []byte) []byte {
+	dst = append(dst, "snapr "...)
+	dst = strconv.AppendUint(dst, epoch, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, seq, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(total), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(offset), 10)
+	dst = append(dst, ' ')
+	return append(dst, chunk...)
+}
 
 // committedMsg is a parsed server-committed op.
 type committedMsg struct {

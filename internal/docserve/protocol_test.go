@@ -3,20 +3,24 @@ package docserve
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
+
+	"atk/internal/datastream"
 )
+
+// readerOf returns the production frame reader over raw wire bytes.
+func readerOf(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReader(r)}
+}
 
 func roundTripFrame(t *testing.T, line string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, line); err != nil {
-		t.Fatalf("writeFrame(%q): %v", line, err)
-	}
-	got, err := readFrame(bufio.NewReader(&buf))
+	got, err := readerOf(bytes.NewReader(datastream.AppendEscaped(nil, line))).next()
 	if err != nil {
-		t.Fatalf("readFrame after %q: %v", line, err)
+		t.Fatalf("reading back %.40q: %v", line, err)
 	}
 	return got
 }
@@ -31,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		"trailing backslash \\",
 		"control \x01 bytes \x7f",
 		strings.Repeat("long line ", 20000), // wraps many physical lines
-		"snap 1 2 " + strings.Repeat("payload\nwith newlines\n", 500),
+		"snapr 1 2 11000 0 " + strings.Repeat("payload\nwith newlines\n", 500),
 	}
 	for _, c := range cases {
 		if got := roundTripFrame(t, c); got != c {
@@ -41,18 +45,16 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameSequence(t *testing.T) {
-	// Multiple frames through one buffer stay delimited.
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	frames := []string{"one", "two\nlines", "three"}
+	// Multiple frames through one reader stay delimited, and its scratch
+	// reuse never leaks one frame's bytes into the next.
+	var wire []byte
+	frames := []string{"one", strings.Repeat("two\nlines ", 50), "three"}
 	for _, f := range frames {
-		if err := writeFrame(w, f); err != nil {
-			t.Fatal(err)
-		}
+		wire = datastream.AppendEscaped(wire, f)
 	}
-	r := bufio.NewReader(&buf)
+	r := readerOf(bytes.NewReader(wire))
 	for _, want := range frames {
-		got, err := readFrame(r)
+		got, err := r.next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +66,7 @@ func TestFrameSequence(t *testing.T) {
 
 func TestReadFrameRejectsOverlongPhysicalLine(t *testing.T) {
 	raw := strings.Repeat("x", MaxPhysicalLine+10) + "\n"
-	if _, err := readFrame(bufio.NewReader(strings.NewReader(raw))); err == nil {
+	if _, err := readerOf(strings.NewReader(raw)).next(); err == nil {
 		t.Fatal("overlong physical line accepted")
 	}
 }
@@ -87,7 +89,7 @@ func TestReadFrameBoundsEndlessLine(t *testing.T) {
 	// forever). The old ReadString-based reader buffered the whole "line"
 	// before any limit check ran.
 	src := &endlessReader{}
-	_, err := readFrame(bufio.NewReader(src))
+	_, err := readerOf(src).next()
 	if err == nil {
 		t.Fatal("endless line accepted")
 	}
@@ -101,7 +103,7 @@ func TestReadFrameBoundsEndlessLine(t *testing.T) {
 
 func TestReadFrameRejectsBadEscape(t *testing.T) {
 	for _, raw := range []string{"bad \\uzz; escape\n", "bad \\q escape\n"} {
-		if _, err := readFrame(bufio.NewReader(strings.NewReader(raw))); err == nil {
+		if _, err := readerOf(strings.NewReader(raw)).next(); err == nil {
 			t.Fatalf("bad escape %q accepted", raw)
 		}
 	}
@@ -135,8 +137,7 @@ func TestParseHello(t *testing.T) {
 
 func TestOpGroupRoundTrip(t *testing.T) {
 	payloads := []string{"i 0 hello world", "d 3 2", "s 0 2 bold 2 5 italic", "i 1 text:with:colons"}
-	frame := encodeOpGroup(9, 41, payloads)
-	g, err := parseOpGroup(frame)
+	g, err := parseOpGroup(string(appendOpGroup(nil, 9, 41, decodeOps(payloads...))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestOpGroupRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty group round trips too.
-	g, err = parseOpGroup(encodeOpGroup(1, 0, nil))
+	g, err = parseOpGroup(string(appendOpGroup(nil, 1, 0, nil)))
 	if err != nil || len(g.payloads) != 0 {
 		t.Fatalf("empty group: %+v, %v", g, err)
 	}
@@ -176,12 +177,12 @@ func TestParseOpGroupRejectsMalformed(t *testing.T) {
 }
 
 func TestParseCommitted(t *testing.T) {
-	m, err := parseCommitted(encodeCommitted(7, "alice", 3, "i 0 hi there"))
+	m, err := parseCommitted(string(appendCommitted(nil, 7, "alice", 3, "i 0 hi there")))
 	if err != nil || m.seq != 7 || m.clientID != "alice" || m.clientSeq != 3 || m.payload != "i 0 hi there" {
 		t.Fatalf("got %+v, %v", m, err)
 	}
 	// The host's own origin id parses.
-	m, err = parseCommitted(encodeCommitted(8, hostOrigin, 0, "s 0 2 bold"))
+	m, err = parseCommitted(string(appendCommitted(nil, 8, hostOrigin, 0, "s 0 2 bold")))
 	if err != nil || m.clientID != hostOrigin {
 		t.Fatalf("host origin: %+v, %v", m, err)
 	}
@@ -192,12 +193,43 @@ func TestParseCommitted(t *testing.T) {
 	}
 }
 
+// TestSnapFrameCarriesRawDocument pins the snapshot framing: a document
+// that fits one frame is one snapr frame at offset 0 carrying the raw
+// document bytes, an empty one included, and a bigger one is a gapless
+// run of ranges that reassembles to the document.
 func TestSnapFrameCarriesRawDocument(t *testing.T) {
 	doc := "\\begindata{text,1}\nline one\nline two\n\\enddata{text,1}\n"
-	frame := roundTripFrame(t, encodeSnap(3, 9, []byte(doc)))
-	parts := strings.SplitN(frame, " ", 4)
-	if len(parts) != 4 || parts[0] != "snap" || parts[3] != doc {
-		t.Fatalf("snap frame mangled: %q", frame)
+	for _, c := range []struct {
+		doc      string
+		perFrame int
+		frames   int
+	}{{doc, 1 << 20, 1}, {"", 1 << 20, 1}, {doc, 10, (len(doc) + 9) / 10}} {
+		fbs := buildSnapFrames(3, 9, []byte(c.doc), c.perFrame)
+		if len(fbs) != c.frames {
+			t.Fatalf("%d-byte doc at %d per frame: %d frames, want %d", len(c.doc), c.perFrame, len(fbs), c.frames)
+		}
+		var wire []byte
+		for _, fb := range fbs {
+			wire = append(wire, fb.b...)
+		}
+		releaseFrames(fbs)
+		r := readerOf(bytes.NewReader(wire))
+		var body string
+		for range fbs {
+			frame, err := r.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts := strings.SplitN(frame, " ", 6)
+			if len(parts) != 6 || parts[0] != "snapr" || parts[1] != "3" || parts[2] != "9" ||
+				parts[3] != strconv.Itoa(len(c.doc)) || parts[4] != strconv.Itoa(len(body)) {
+				t.Fatalf("snapr frame mangled: %q", frame)
+			}
+			body += parts[5]
+		}
+		if body != c.doc {
+			t.Fatalf("snapshot reassembled to %q, want %q", body, c.doc)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package docserve
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"math/rand"
@@ -88,25 +87,24 @@ func TestServeErrFrameDeliveredOnKill(t *testing.T) {
 	cEnd, sEnd := net.Pipe()
 	go srv.HandleConn(sEnd)
 	defer cEnd.Close()
-	br := bufio.NewReader(cEnd)
-	bw := bufio.NewWriter(cEnd)
-	if err := writeFrame(bw, encodeHello("d", "rude")); err != nil {
+	fr := readerOf(cEnd)
+	if _, err := cEnd.Write(frames([]byte(encodeHello("d", "rude")))); err != nil {
 		t.Fatal(err)
 	}
-	// Catch-up: snap, live.
+	// Catch-up: snapr, live.
 	for i := 0; i < 2; i++ {
-		if _, err := readFrame(br); err != nil {
+		if _, err := fr.next(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A malformed frame is a protocol violation; the session dies, but the
 	// err frame explaining why must arrive before EOF.
-	if err := writeFrame(bw, "wat is this"); err != nil {
+	if _, err := cEnd.Write(frames([]byte("wat is this"))); err != nil {
 		t.Fatal(err)
 	}
 	_ = cEnd.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		f, err := readFrame(br)
+		f, err := fr.next()
 		if err != nil {
 			t.Fatalf("connection died before any err frame: %v", err)
 		}
@@ -118,7 +116,7 @@ func TestServeErrFrameDeliveredOnKill(t *testing.T) {
 		}
 	}
 	// After the drain the server closes its end.
-	if _, err := readFrame(br); err == nil {
+	if _, err := fr.next(); err == nil {
 		t.Fatal("connection still open after kill")
 	}
 }
@@ -330,9 +328,15 @@ func TestSoakMultiDocument(t *testing.T) {
 	// The soak's random deletes may have eaten any content, seeds included,
 	// so cross-shard interference is checked with post-quiescence markers:
 	// each document's first client commits a doc-tagged insert, and every
-	// document must end up containing exactly its own tag.
+	// document must end up containing exactly its own tag. The writer first
+	// catches up to its host: typed on a stale replica, the marker could
+	// land inside a range a concurrent delete removed, and the transform
+	// rule that such an insert is swallowed would then remove it.
 	for d := 0; d < docs; d++ {
 		c := slots[d*clientsPer].c
+		if err := c.WaitSeq(hosts[d].Stats().Seq, 10*time.Second); err != nil {
+			t.Fatalf("doc %d marker writer catching up: %v", d, err)
+		}
 		if err := c.Doc().Insert(0, fmt.Sprintf("marker-doc%d ", d)); err != nil {
 			t.Fatal(err)
 		}

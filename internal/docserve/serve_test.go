@@ -1,9 +1,10 @@
 package docserve
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -176,6 +177,44 @@ func TestServeStyledEditsConvergeViaCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServeStyleGroupCheckpointsOnUnstyledHost: a group whose style
+// records leave the host with no runs still gets a checkpoint. Alice
+// styles "ab", types X strictly inside the run (which grows over X on her
+// replica) and deletes "b", while Bob's delete of "a" commits first. On
+// the host X lands at the run's start and the run collapses; without a
+// checkpoint Alice would keep X bold.
+func TestServeStyleGroupCheckpointsOnUnstyledHost(t *testing.T) {
+	h := NewHost("d", newDoc(t, "ab"), HostOptions{})
+	srv := NewServer(HostOptions{})
+	srv.AddHost(h)
+	a := pipeClient(t, srv, "d", "alice", testReg(t))
+	b := pipeClient(t, srv, "d", "bob", testReg(t))
+
+	// Alice's first edit goes out at once; the rest wait behind it, since
+	// she does not pump (and so sees no ack) until Bob has committed.
+	mustInsert(t, a.Doc(), 2, "c")
+	if err := a.Doc().SetStyle(0, 2, "bold"); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, a.Doc(), 1, "X")
+	mustDelete(t, a.Doc(), 2, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Stats().Seq < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("alice's first edit never committed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mustDelete(t, b.Doc(), 0, 1)
+	if err := b.Sync(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	convergeAll(t, h, a, b)
+	if got := h.DocString(); got != "Xc" {
+		t.Fatalf("host doc %q, want %q", got, "Xc")
+	}
+}
+
 func TestServeStyledStormConverges(t *testing.T) {
 	reg := testReg(t)
 	doc := newDoc(t, "the quick brown fox jumps over the lazy dog")
@@ -258,7 +297,7 @@ func TestServeOpReplayResync(t *testing.T) {
 func TestServeSnapshotFallbackResync(t *testing.T) {
 	reg := testReg(t)
 	// A two-op history window cannot replay a six-op gap.
-	h := NewHost("d", newDoc(t, "base\n"), HostOptions{HistoryLimit: 2})
+	h := NewHost("d", newDoc(t, "base\n"), HostOptions{historyLimit: 2})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 	a := pipeClient(t, srv, "d", "alice", reg)
@@ -305,11 +344,13 @@ func TestServeSlowConsumerKicked(t *testing.T) {
 	// before the flush wedges, so drive several times QueueLen commits.
 	rawC, rawS := net.Pipe()
 	go srv.HandleConn(rawS)
-	bw := bufio.NewWriter(rawC)
-	if err := writeFrame(bw, encodeHello("d", "sloth")); err != nil {
+	if _, err := rawC.Write(frames([]byte(encodeHello("d", "sloth")))); err != nil {
 		t.Fatal(err)
 	}
 	defer rawC.Close()
+	// The hello is read, but the sloth may not be attached yet; commits
+	// made before it is would never reach its queue.
+	waitSessions(t, h, 3)
 
 	for i := 0; i < 16; i++ {
 		mustInsert(t, a.Doc(), 0, "x")
@@ -386,7 +427,7 @@ func waitSessions(t *testing.T, h *Host, n int) {
 // after the retention window instead of leaking for the host's lifetime.
 func TestClientStatePruned(t *testing.T) {
 	reg := testReg(t)
-	h := NewHost("d", newDoc(t, "base\n"), HostOptions{ClientRetention: 30 * time.Millisecond})
+	h := NewHost("d", newDoc(t, "base\n"), HostOptions{clientRetention: 30 * time.Millisecond})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 	a := pipeClient(t, srv, "d", "alice", reg)
@@ -412,10 +453,10 @@ func TestClientStatePruned(t *testing.T) {
 }
 
 // TestClientStateBounded: a peer minting fresh client IDs at connection
-// rate cannot grow the identity map past MaxClients.
+// rate cannot grow the identity map past maxClients.
 func TestClientStateBounded(t *testing.T) {
 	reg := testReg(t)
-	h := NewHost("d", newDoc(t, "base\n"), HostOptions{MaxClients: 4})
+	h := NewHost("d", newDoc(t, "base\n"), HostOptions{maxClients: 4})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 
@@ -429,7 +470,7 @@ func TestClientStateBounded(t *testing.T) {
 		_ = c.Close()
 		waitSessions(t, h, 0)
 	}
-	// The map may briefly hold MaxClients+1 (the pruner runs before the
+	// The map may briefly hold maxClients+1 (the pruner runs before the
 	// new identity is added), never more.
 	if st := h.Stats(); st.TrackedClients > 5 {
 		t.Fatalf("identity map unbounded: %+v", st)
@@ -442,7 +483,7 @@ func TestClientStateBounded(t *testing.T) {
 // group; its later edits commit fine mid-count via first-group seeding.
 func TestReconnectAfterPruneGetsSnapshot(t *testing.T) {
 	reg := testReg(t)
-	h := NewHost("d", newDoc(t, "base\n"), HostOptions{ClientRetention: 20 * time.Millisecond})
+	h := NewHost("d", newDoc(t, "base\n"), HostOptions{clientRetention: 20 * time.Millisecond})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
 	a := pipeClient(t, srv, "d", "alice", reg)
@@ -553,7 +594,7 @@ func TestServeRoutingAndRejects(t *testing.T) {
 	srv := NewServer(HostOptions{})
 	srv.AddHost(NewHost("known", newDoc(t, ""), HostOptions{}))
 
-	// Unknown document, no opener: rejected with an err frame.
+	// Unknown document: rejected with an err frame.
 	cEnd, sEnd := net.Pipe()
 	go srv.HandleConn(sEnd)
 	if _, err := Connect(cEnd, "nope", ClientOptions{ClientID: "c", Registry: reg}); err == nil {
@@ -562,10 +603,8 @@ func TestServeRoutingAndRejects(t *testing.T) {
 		t.Fatalf("wrong rejection: %v", err)
 	}
 
-	// With an opener, unknown documents spring into being.
-	srv.SetOpener(func(name string) (*Host, error) {
-		return NewHost(name, text.New(), HostOptions{}), nil
-	})
+	// A host added later is routable at once.
+	srv.AddHost(NewHost("fresh", text.New(), HostOptions{}))
 	c := pipeClient(t, srv, "fresh", "c", reg)
 	mustInsert(t, c.Doc(), 0, "hi")
 	if err := c.Sync(5 * time.Second); err != nil {
@@ -582,6 +621,102 @@ func TestServeRoutingAndRejects(t *testing.T) {
 		t.Fatal("reserved client id accepted")
 	} else if !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("wrong rejection: %v", err)
+	}
+}
+
+// TestServePipelinedHello: a client that writes its hello and its first
+// frame in one write gets both served. The session reads through the
+// same buffered reader the hello came through, so the ping that arrived
+// with it is answered rather than dropped.
+func TestServePipelinedHello(t *testing.T) {
+	srv := NewServer(HostOptions{})
+	srv.AddHost(NewHost("d", newDoc(t, "base\n"), HostOptions{}))
+	cEnd, sEnd := net.Pipe()
+	go srv.HandleConn(sEnd)
+	defer cEnd.Close()
+	_ = cEnd.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := cEnd.Write(frames([]byte(encodeHello("d", "eager")), []byte("ping early"))); err != nil {
+		t.Fatal(err)
+	}
+	fr := readerOf(cEnd)
+	for {
+		f, err := fr.next()
+		if err != nil {
+			t.Fatalf("no pong for the pipelined ping: %v", err)
+		}
+		if f == "pong early" {
+			return
+		}
+	}
+}
+
+// TestServeSupersededSession: a client back on a new connection before
+// the host noticed its old one die supersedes the old session. The old
+// one is told why and disconnected, and a group it read before that is
+// dropped, not committed behind the resumed client's back (the client
+// re-sends it).
+func TestServeSupersededSession(t *testing.T) {
+	h := NewHost("d", newDoc(t, "base\n"), HostOptions{})
+	srv := NewServer(HostOptions{})
+	srv.AddHost(h)
+	attach := func() *frameReader {
+		cEnd, sEnd := net.Pipe()
+		go srv.HandleConn(sEnd)
+		t.Cleanup(func() { _ = cEnd.Close() })
+		_ = cEnd.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := cEnd.Write(frames([]byte(encodeHello("d", "w")))); err != nil {
+			t.Fatal(err)
+		}
+		fr := readerOf(cEnd)
+		for i := 0; i < 2; i++ { // catch-up: snapr, live
+			if _, err := fr.next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fr
+	}
+	oldReader := attach()
+	var old *session
+	h.mu.Lock()
+	for s := range h.sessions {
+		old = s
+	}
+	h.mu.Unlock()
+	attach()
+	if f, err := oldReader.next(); err != nil || !strings.Contains(f, "superseded") {
+		t.Fatalf("superseded session got %q, %v; want the err frame saying why", f, err)
+	}
+	if _, err := oldReader.next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("superseded session not closed: %v", err)
+	}
+	if st := h.Stats(); st.Sessions != 1 {
+		t.Fatalf("want 1 live session, have %+v", st)
+	}
+	h.commitGroup(old, opGroupMsg{clientSeq: 1, payloads: []string{"i 0 stale "}})
+	if st := h.Stats(); st.Seq != 0 || h.DocString() != "base\n" {
+		t.Fatalf("superseded session committed: seq %d, doc %q", st.Seq, h.DocString())
+	}
+}
+
+// TestDrainDropsGroupsAfterBye: once a drain has said bye, the host
+// commits nothing more, so no ack or op queues up behind the bye where a
+// client healing on it would never read it. The client re-sends the
+// group after it resumes.
+func TestDrainDropsGroupsAfterBye(t *testing.T) {
+	h := NewHost("d", newDoc(t, "base\n"), HostOptions{})
+	srv := NewServer(HostOptions{})
+	srv.AddHost(h)
+	pipeClient(t, srv, "d", "late", testReg(t))
+	h.mu.Lock()
+	var s *session
+	for live := range h.sessions {
+		s = live
+	}
+	h.draining = true
+	h.mu.Unlock()
+	h.commitGroup(s, opGroupMsg{clientSeq: 1, payloads: []string{"i 0 late "}})
+	if st := h.Stats(); st.Seq != 0 || h.DocString() != "base\n" {
+		t.Fatalf("group committed after the bye: seq %d, doc %q", st.Seq, h.DocString())
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"atk/internal/datastream"
 )
 
 // Server multiplexes document hosts behind one listener. The accept loop
@@ -29,14 +31,13 @@ type Server struct {
 
 	mu     sync.RWMutex
 	hosts  map[string]*Host
-	opener func(name string) (*Host, error)
 	lns    []net.Listener
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// NewServer returns an empty server; opts are the defaults for hosts the
-// opener creates.
+// NewServer returns an empty server. Of opts it uses the timeouts, which
+// bound a connection's hello and rejection; hosts carry their own options.
 func NewServer(opts HostOptions) *Server {
 	return &Server{opts: opts.withDefaults(), hosts: map[string]*Host{}}
 }
@@ -46,14 +47,6 @@ func (s *Server) AddHost(h *Host) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hosts[h.name] = h
-}
-
-// SetOpener installs an on-demand document opener, called (under the
-// server lock) the first time an unknown document name is attached.
-func (s *Server) SetOpener(fn func(name string) (*Host, error)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.opener = fn
 }
 
 // Hosts snapshots the currently open hosts.
@@ -68,34 +61,17 @@ func (s *Server) Hosts() []*Host {
 }
 
 func (s *Server) host(name string) (*Host, error) {
-	// Fast path: attaches to an already-open document share a read lock,
-	// so a join storm on many documents never serializes here.
+	// Attaches share a read lock, so a join storm on many documents never
+	// serializes here.
 	s.mu.RLock()
-	h, ok := s.hosts[name]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, errors.New("docserve: server closed")
-	}
-	if ok {
-		return h, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, errors.New("docserve: server closed")
 	}
-	if h, ok := s.hosts[name]; ok {
-		return h, nil
-	}
-	if s.opener == nil {
+	h, ok := s.hosts[name]
+	if !ok {
 		return nil, fmt.Errorf("docserve: no document %q", name)
 	}
-	h, err := s.opener(name)
-	if err != nil {
-		return nil, err
-	}
-	s.hosts[name] = h
 	return h, nil
 }
 
@@ -126,18 +102,17 @@ func (s *Server) Serve(ln net.Listener) error {
 // HandleConn runs one connection to completion (exported so tests and
 // in-process transports can hand the server a net.Pipe end directly).
 func (s *Server) HandleConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	fr := &frameReader{br: bufio.NewReader(conn)}
 	reject := func(reason string) {
 		s.rejected.Add(1)
-		bw := bufio.NewWriter(conn)
 		_ = conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-		_ = writeFrame(bw, "err "+reason)
+		_, _ = conn.Write(datastream.AppendEscaped(nil, "err "+reason))
 		_ = conn.Close()
 	}
 	if s.opts.IdleTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
-	frame, err := readFrame(br)
+	frame, err := fr.next()
 	if err != nil {
 		s.rejected.Add(1)
 		_ = conn.Close()
@@ -158,7 +133,7 @@ func (s *Server) HandleConn(conn net.Conn) {
 		reject(err.Error())
 		return
 	}
-	sess.serve()
+	sess.serve(fr)
 }
 
 // Rejections returns how many connections the server has turned away at

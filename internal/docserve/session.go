@@ -67,7 +67,19 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 	if hello.clientID == hostOrigin {
 		return nil, fmt.Errorf("client id %q is reserved", hostOrigin)
 	}
-	if len(h.sessions) >= h.opts.MaxSessions {
+	if cs := h.clients[hello.clientID]; cs != nil && cs.sessions > 0 {
+		// The client is back on a new connection before the host noticed
+		// the old one die. The old session must not commit or receive
+		// anything more: a group it still had in hand would otherwise be
+		// committed behind the resumed client's back. (A second client
+		// misconfigured with the same ID is told why it was dropped.)
+		for old := range h.sessions {
+			if old.clientID == hello.clientID {
+				h.dismissLocked(old, "superseded by a new session of the same client")
+			}
+		}
+	}
+	if len(h.sessions) >= maxSessions {
 		return nil, fmt.Errorf("document %s is full (%d sessions)", h.name, len(h.sessions))
 	}
 	h.pruneClientsLocked(time.Now())
@@ -102,10 +114,10 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 		fb := getFrame() // one coalesced buffer: every replayed op, then live
 		for _, op := range h.hist {
 			if op.seq > hello.since {
-				h.appendCommittedLocked(fb, op.seq, op.clientID, op.clientSeq, op.wire)
+				h.frameLineLocked(fb, appendCommitted(h.lineScratch(), op.seq, op.clientID, op.clientSeq, op.wire))
 			}
 		}
-		h.appendLiveLocked(fb, h.seq)
+		h.frameLineLocked(fb, appendLive(h.lineScratch(), h.seq))
 		s.catchup = append(s.catchup, fb)
 		h.opResyncs++
 		return s, nil
@@ -114,8 +126,7 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 	h.snapResyncs++
 	if len(h.snapFrames) > 0 && h.snapSeq == h.seq {
 		// The seq-keyed snapshot cache holds the current state already
-		// encoded (one snap frame, or a run of snapr range frames): attach
-		// costs no encode at all.
+		// encoded: attach costs no encode at all.
 		for _, fb := range h.snapFrames {
 			fb.retain()
 			s.catchup = append(s.catchup, fb)
@@ -124,7 +135,7 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 			h.snapChunks += uint64(n)
 		}
 		live := getFrame()
-		h.appendLiveLocked(live, h.seq)
+		h.frameLineLocked(live, appendLive(h.lineScratch(), h.seq))
 		s.catchup = append(s.catchup, live)
 		return s, nil
 	}
@@ -135,8 +146,7 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 	// stalled. They enqueue into s.out in commit order with seq > seq0,
 	// exactly the ops the seq0 snapshot needs appended. A document bigger
 	// than the per-frame bound streams to the client as a run of snapr
-	// range frames instead of one oversized snap frame, so document size
-	// no longer caps joinability.
+	// range frames, so document size does not cap joinability.
 	clone, err := h.doc.Extract(0, h.doc.Len())
 	if err != nil {
 		h.discardSessionLocked(s)
@@ -168,7 +178,7 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 		h.snapChunks += uint64(n)
 	}
 	live := getFrame()
-	h.appendLiveLocked(live, seq0)
+	h.frameLineLocked(live, appendLive(h.lineScratch(), seq0))
 	s.catchup = append(s.catchup, live)
 	if h.seq == seq0 {
 		// Still current: publish to the snapshot cache and refresh the
@@ -225,12 +235,12 @@ func (h *Host) opsSinceLocked(since uint64) int {
 	return int(h.seq - since)
 }
 
-// serveSession runs the session to completion: writer goroutine plus the
-// reader loop in the calling goroutine. The caller owns conn no more.
-func (s *session) serve() {
+// serve runs the session to completion: writer goroutine plus the reader
+// loop in the calling goroutine. fr is the reader the hello came through,
+// so frames the client sent right behind the hello are already buffered
+// in it. The caller owns conn no more.
+func (s *session) serve(fr *frameReader) {
 	go s.writeLoop()
-	br := bufio.NewReader(s.conn)
-	fr := frameReader{br: br}
 	var dlSet time.Time
 	for {
 		// Refresh the read deadline only when a quarter of the idle
@@ -260,9 +270,7 @@ func (s *session) serve() {
 			tok, _ := restOf(frame, 1)
 			s.h.mu.Lock()
 			fb := getFrame()
-			sc := append(s.h.lineScratch(), "pong "...)
-			sc = append(sc, tok...)
-			s.h.doneScratch(sc, fb)
+			s.h.frameLineLocked(fb, append(append(s.h.lineScratch(), "pong "...), tok...))
 			if !s.h.enqueueControlLocked(s, fb, time.Now()) {
 				// Even the control headroom is full: the session is not
 				// reading at all, which is the slow-consumer disease.
@@ -435,21 +443,16 @@ func (h *Host) enqueueControlLocked(s *session, fb *frameBuf, t time.Time) bool 
 	}
 }
 
-// enqueueLineLocked escapes and queues one logical line as a data frame
-// (the dup-ack answer path; everything hot goes through the coalescing
-// encoders in host.go).
-func (h *Host) enqueueLineLocked(s *session, line string) {
-	fb := getFrame()
-	fb.appendLine(line)
-	h.enqueueDataLocked(s, fb, time.Now())
-	fb.release()
-}
-
 // failLocked reports a protocol error to the session and disconnects it.
-// The err frame rides the control headroom, so a full data queue cannot
-// drop the explanation; the write loop drains it before closing.
 func (h *Host) failLocked(s *session, reason string) {
 	h.protoErrors++
+	h.dismissLocked(s, reason)
+}
+
+// dismissLocked disconnects the session with an err frame giving the
+// reason. The err frame rides the control headroom, so a full data queue
+// cannot drop the explanation; the write loop drains it before closing.
+func (h *Host) dismissLocked(s *session, reason string) {
 	fb := getFrame()
 	fb.appendLine("err " + reason)
 	_ = h.enqueueControlLocked(s, fb, time.Now()) // best effort

@@ -18,7 +18,8 @@ import (
 // appears on every other, its cell edits travel as table ops (no
 // checkpoint, no resync), and a chart observing the table on a *remote*
 // replica repaints live when the cell changes. This is the acceptance
-// test for the internal/ops subsystem.
+// test for the internal/ops subsystem. A class.Registry belongs to one
+// goroutine, so the host and every client get their own, as in ezserve.
 
 func componentReg(t *testing.T) *class.Registry {
 	t.Helper()
@@ -53,16 +54,15 @@ func replicaTable(t *testing.T, c *Client) *table.Data {
 }
 
 func TestTableCollabLiveChart(t *testing.T) {
-	reg := componentReg(t)
-	// The host's own replica needs the registry too: it materializes the
+	// The host's own replica needs a registry too: it materializes the
 	// embed op's payload into a live component like any client does.
 	hostDoc := newDoc(t, "quarterly numbers: \n")
-	hostDoc.SetRegistry(reg)
+	hostDoc.SetRegistry(componentReg(t))
 	h := NewHost("d", hostDoc, HostOptions{})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
-	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	a := pipeClient(t, srv, "d", "alice", componentReg(t))
+	b := pipeClient(t, srv, "d", "bob", componentReg(t))
 
 	// Alice embeds a table mid-text; Bob receives the embed op and grows
 	// an identical live component.
@@ -138,14 +138,13 @@ func TestTableCollabLiveChart(t *testing.T) {
 // Structural concurrency: two replicas mutate the same table's shape and
 // cells at once; the transform converges them byte-identically.
 func TestTableCollabConcurrentStructure(t *testing.T) {
-	reg := componentReg(t)
 	hostDoc := newDoc(t, "x")
-	hostDoc.SetRegistry(reg)
+	hostDoc.SetRegistry(componentReg(t))
 	h := NewHost("d", hostDoc, HostOptions{})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
-	a := pipeClient(t, srv, "d", "alice", reg)
-	b := pipeClient(t, srv, "d", "bob", reg)
+	a := pipeClient(t, srv, "d", "alice", componentReg(t))
+	b := pipeClient(t, srv, "d", "bob", componentReg(t))
 
 	td := table.New(2, 2)
 	if err := a.Embed(1, td, ""); err != nil {
@@ -180,18 +179,17 @@ func TestTableCollabConcurrentStructure(t *testing.T) {
 // the embed and the synced cell ops onto the base — the table comes back
 // with its committed state, from bare files, with no live host involved.
 func TestTableCollabHostCrashRecovery(t *testing.T) {
-	reg := componentReg(t)
 	mem := persist.NewMemFS()
 	if err := persist.SaveDocument(mem, "doc.d", newDoc(t, "report ")); err != nil {
 		t.Fatal(err)
 	}
-	h, err := OpenHostFile(mem, "doc.d", reg, HostOptions{})
+	h, err := OpenHostFile(mem, "doc.d", componentReg(t), HostOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
-	c := pipeClient(t, srv, "doc.d", "writer", reg)
+	c := pipeClient(t, srv, "doc.d", "writer", componentReg(t))
 
 	td := table.New(2, 2)
 	if err := c.Embed(7, td, ""); err != nil {
@@ -220,7 +218,7 @@ func TestTableCollabHostCrashRecovery(t *testing.T) {
 	}
 	mem.Crash()
 
-	df, err := persist.Load(mem, "doc.d", reg, datastream.Strict)
+	df, err := persist.Load(mem, "doc.d", componentReg(t), datastream.Strict)
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}

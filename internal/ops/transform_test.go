@@ -1,4 +1,4 @@
-package docserve
+package ops
 
 import (
 	"fmt"
@@ -8,6 +8,10 @@ import (
 
 	"atk/internal/text"
 )
+
+// The text transform's convergence tests: pairs through XformText, and
+// sequences through XformDual over TextOp values, the fold the docserve
+// host and client run.
 
 // applyAll replays recs over a fresh document seeded with base.
 func applyAll(t *testing.T, base string, seqs ...[]text.EditRecord) *text.Data {
@@ -33,6 +37,28 @@ func del(pos, n int) text.EditRecord {
 
 func sty(runs ...text.Run) text.EditRecord {
 	return text.EditRecord{Kind: text.RecStyle, Runs: runs}
+}
+
+// textOps wraps text records as ops.
+func textOps(recs []text.EditRecord) []Op {
+	out := make([]Op, len(recs))
+	for i, r := range recs {
+		out[i] = TextOp(r)
+	}
+	return out
+}
+
+// textRecs unwraps the ops XformDual returned for text inputs.
+func textRecs(t *testing.T, ops []Op) []text.EditRecord {
+	t.Helper()
+	out := make([]text.EditRecord, len(ops))
+	for i, op := range ops {
+		if op.Kind != KindText {
+			t.Fatalf("text transform produced a %s op", op.Kind)
+		}
+		out[i] = op.Text
+	}
+	return out
 }
 
 // sameDoc asserts two documents are byte-identical, styles included.
@@ -62,8 +88,8 @@ func checkTP1(t *testing.T, label, base string, a, b text.EditRecord, baseRuns .
 	if len(baseRuns) > 0 {
 		pre = append(pre, sty(baseRuns...))
 	}
-	d1 := applyAll(t, base, pre, []text.EditRecord{a}, xform(b, a, true))
-	d2 := applyAll(t, base, pre, []text.EditRecord{b}, xform(a, b, false))
+	d1 := applyAll(t, base, pre, []text.EditRecord{a}, XformText(b, a, true))
+	d2 := applyAll(t, base, pre, []text.EditRecord{b}, XformText(a, b, false))
 	sameDoc(t, label, d1, d2)
 }
 
@@ -78,8 +104,8 @@ func checkTP1Text(t *testing.T, label, base string, a, b text.EditRecord, baseRu
 	if len(baseRuns) > 0 {
 		pre = append(pre, sty(baseRuns...))
 	}
-	d1 := applyAll(t, base, pre, []text.EditRecord{a}, xform(b, a, true))
-	d2 := applyAll(t, base, pre, []text.EditRecord{b}, xform(a, b, false))
+	d1 := applyAll(t, base, pre, []text.EditRecord{a}, XformText(b, a, true))
+	d2 := applyAll(t, base, pre, []text.EditRecord{b}, XformText(a, b, false))
 	if d1.String() != d2.String() {
 		t.Fatalf("%s: text diverged:\n  a=%q\n  b=%q", label, d1.String(), d2.String())
 	}
@@ -124,7 +150,7 @@ func TestXformDeleteSwallowsInsideInsert(t *testing.T) {
 	// style runs).
 	base := "hello world"
 	a, b := ins(7, "NEW"), del(3, 6) // delete "lo wor", insert inside it
-	d1 := applyAll(t, base, []text.EditRecord{a}, xform(b, a, true))
+	d1 := applyAll(t, base, []text.EditRecord{a}, XformText(b, a, true))
 	if strings.Contains(d1.String(), "NEW") {
 		t.Fatalf("insert inside a concurrent delete should be swallowed: %q", d1.String())
 	}
@@ -142,10 +168,10 @@ func TestXformStyleLastWriterWins(t *testing.T) {
 	// both orders; the earlier record vanishes when rewritten past it.
 	later := sty(text.Run{Start: 1, End: 2, Style: "italic"})
 	earlier := sty(text.Run{Start: 0, End: 3, Style: "bold"})
-	if got := xform(earlier, later, false); got != nil {
+	if got := XformText(earlier, later, false); got != nil {
 		t.Fatalf("earlier style record should be superseded, got %v", got)
 	}
-	if got := xform(later, earlier, true); len(got) != 1 || got[0].Runs[0].Style != "italic" {
+	if got := XformText(later, earlier, true); len(got) != 1 || got[0].Runs[0].Style != "italic" {
 		t.Fatalf("later style record should pass unchanged, got %v", got)
 	}
 }
@@ -240,9 +266,10 @@ func TestQuickXformDualSequenceConvergence(t *testing.T) {
 		base := randBase(rng, rng.Intn(10))
 		xs := randSeq(t, rng, base, 1+rng.Intn(3), false)
 		ys := randSeq(t, rng, base, 1+rng.Intn(3), false)
-		xs2, ys2 := xformDual(xs, ys, true) // xs is server-later
-		d1 := applyAll(t, base, ys, xs2)    // server order: ys first
-		d2 := applyAll(t, base, xs, ys2)    // client order: xs first
+		xo, yo := XformDual(textOps(xs), textOps(ys), true) // xs is server-later
+		xs2, ys2 := textRecs(t, xo), textRecs(t, yo)
+		d1 := applyAll(t, base, ys, xs2) // server order: ys first
+		d2 := applyAll(t, base, xs, ys2) // client order: xs first
 		sameDoc(t, fmt.Sprintf("iter %d base=%q xs=%v ys=%v xs2=%v ys2=%v", iter, base, enc(xs), enc(ys), enc(xs2), enc(ys2)), d1, d2)
 	}
 }
@@ -255,9 +282,9 @@ func TestQuickXformDualSequenceTextConvergence(t *testing.T) {
 		base := randBase(rng, rng.Intn(10))
 		xs := randSeq(t, rng, base, 1+rng.Intn(3), true)
 		ys := randSeq(t, rng, base, 1+rng.Intn(3), true)
-		xs2, ys2 := xformDual(xs, ys, true)
-		d1 := applyAll(t, base, ys, xs2)
-		d2 := applyAll(t, base, xs, ys2)
+		xo, yo := XformDual(textOps(xs), textOps(ys), true)
+		d1 := applyAll(t, base, ys, textRecs(t, xo))
+		d2 := applyAll(t, base, xs, textRecs(t, yo))
 		if d1.String() != d2.String() {
 			t.Fatalf("iter %d base=%q xs=%v ys=%v: text diverged:\n  %q\n  %q",
 				iter, base, enc(xs), enc(ys), d1.String(), d2.String())
@@ -268,12 +295,12 @@ func TestQuickXformDualSequenceTextConvergence(t *testing.T) {
 // TestXformDualNoAliasing pins the capacity-clipping: appending to a
 // returned slice must never scribble into the caller's arrays.
 func TestXformDualNoAliasing(t *testing.T) {
-	xs := make([]text.EditRecord, 1, 8)
-	xs[0] = ins(0, "a")
-	xs2, _ := xformDual(xs, nil, true)
-	_ = append(xs2, ins(9, "scribble"))
-	if xs[:cap(xs)][1:2][0].Text == "scribble" {
-		t.Fatal("xformDual returned an aliasing slice")
+	xs := make([]Op, 1, 8)
+	xs[0] = TextOp(ins(0, "a"))
+	xs2, _ := XformDual(xs, nil, true)
+	_ = append(xs2, TextOp(ins(9, "scribble")))
+	if xs[:cap(xs)][1:2][0].Text.Text == "scribble" {
+		t.Fatal("XformDual returned an aliasing slice")
 	}
 }
 
@@ -283,11 +310,4 @@ func enc(recs []text.EditRecord) []string {
 		out[i] = text.EncodeRecord(r)
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

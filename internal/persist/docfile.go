@@ -125,8 +125,8 @@ func writeSidecar(fsys FS, path string, doc []byte) {
 // baseHeader is the journal header binding it to an exact saved file — a
 // CRC of the bytes, not an mtime, so touching the file or copying it
 // around cannot make a stale journal look current.
-func baseHeader(saved []byte) string {
-	return fmt.Sprintf("base %08x", crc32.ChecksumIEEE(saved))
+func baseHeader(savedCRC uint32) string {
+	return fmt.Sprintf("base %08x", savedCRC)
 }
 
 // Load reads the document at path and, if a journal from a crashed session
@@ -149,11 +149,11 @@ func Load(fsys FS, path string, reg *class.Registry, mode datastream.Mode) (*Doc
 		return nil, fmt.Errorf("%s holds a %s, not a text document", path, obj.TypeName())
 	}
 	doc.SetRegistry(reg)
-	df := &DocFile{fsys: fsys, Path: path, Doc: doc, baseCRC: baseHeader(raw)}
+	df := &DocFile{fsys: fsys, Path: path, Doc: doc, baseCRC: baseHeader(crc32.ChecksumIEEE(raw))}
 	for _, d := range r.Diagnostics() {
 		df.LoadDiags = append(df.LoadDiags, d.String())
 	}
-	df.recoverJournal(raw)
+	df.recoverJournal()
 	if df.Replayed == 0 {
 		doc.MarkClean()
 	}
@@ -163,7 +163,7 @@ func Load(fsys FS, path string, reg *class.Registry, mode datastream.Mode) (*Doc
 // recoverJournal replays a leftover journal over the freshly loaded
 // document. Replay stops — keeping the prefix — at the first damaged,
 // undecodable, inapplicable, or reset record.
-func (df *DocFile) recoverJournal(saved []byte) {
+func (df *DocFile) recoverJournal() {
 	diag := func(format string, args ...any) {
 		df.RecoveryDiags = append(df.RecoveryDiags, fmt.Sprintf(format, args...))
 	}
@@ -174,7 +174,7 @@ func (df *DocFile) recoverJournal(saved []byte) {
 		}
 		return
 	}
-	if rep.Header != baseHeader(saved) {
+	if rep.Header != df.baseCRC {
 		// Either the header is inside the damaged region or the journal
 		// belongs to an older version of the file (crash between the save's
 		// rename and the journal rotation). The file is newer: trust it.
@@ -270,17 +270,6 @@ func (df *DocFile) wireComponents() {
 // edit logger — and journals exactly the records it commits, in its own
 // authoritative order.
 func (df *DocFile) StartJournalDetached() error {
-	// Load cached the base header when it had the saved bytes in hand;
-	// re-reading the whole file here just to hash it again would double
-	// the open's I/O (and on a large document, dominate it). The read
-	// below survives only for DocFiles built by hand in tests.
-	if df.baseCRC == "" {
-		saved, err := ReadFile(df.fsys, df.Path)
-		if err != nil {
-			return err
-		}
-		df.baseCRC = baseHeader(saved)
-	}
 	j, err := CreateJournal(df.fsys, JournalPath(df.Path), df.baseCRC, df.replayed)
 	if err != nil {
 		return err
@@ -375,7 +364,7 @@ func (df *DocFile) Save() error {
 		return err
 	}
 	writeSidecar(df.fsys, df.Path, b)
-	df.baseCRC = baseHeader(b)
+	df.baseCRC = baseHeader(crc32.ChecksumIEEE(b))
 	df.Doc.MarkClean()
 	df.replayed = nil
 	if df.journal == nil {

@@ -16,8 +16,8 @@ import (
 // (IndexPath), describing the saved bytes well enough that a later open
 // can map the document without parsing it: where the top component's
 // content payload begins and ends, how many runes and logical lines it
-// holds, and a byte/rune offset mark every markEvery logical lines. Each
-// record is CRC-framed with the same line discipline as the edit journal:
+// holds, and a byte/rune offset mark every markEvery logical lines. It is
+// a CRC record file (see record.go), like the edit journal:
 //
 //	%atkindex1
 //	0 <crc> meta <docLen> <docCRC> <headLen> <headCRC> <runes> <lines>
@@ -236,79 +236,39 @@ func splitMarker(line, prefix string) (typ string, id int, err error) {
 	return strings.TrimSpace(body[:comma]), id, nil
 }
 
-// encode renders the sidecar's full on-disk bytes.
-func (ix *DocIndex) encode() []byte {
-	var b strings.Builder
-	b.WriteString(IndexMagic + "\n")
-	seq := uint64(0)
-	rec := func(payload string) {
-		b.WriteString(frameRecord(seq, payload))
-		seq++
-	}
-	rec(fmt.Sprintf("meta %d %08x %d %08x %d %d", ix.DocLen, ix.DocCRC, ix.HeadLen, ix.HeadCRC, ix.Runes, ix.Lines))
+// records renders the sidecar's record payloads.
+func (ix *DocIndex) records() []string {
 	streamable := 0
 	if ix.Streamable {
 		streamable = 1
 	}
-	rec(fmt.Sprintf("comp %s %d %d %d %d", ix.CompType, ix.CompID, ix.ContentStart, ix.ContentEnd, streamable))
-	for _, m := range ix.Marks {
-		rec(fmt.Sprintf("mark %d %d %d", m.Line, m.Rune, m.Byte))
+	recs := []string{
+		fmt.Sprintf("meta %d %08x %d %08x %d %d", ix.DocLen, ix.DocCRC, ix.HeadLen, ix.HeadCRC, ix.Runes, ix.Lines),
+		fmt.Sprintf("comp %s %d %d %d %d", ix.CompType, ix.CompID, ix.ContentStart, ix.ContentEnd, streamable),
 	}
-	return []byte(b.String())
+	for _, m := range ix.Marks {
+		recs = append(recs, fmt.Sprintf("mark %d %d %d", m.Line, m.Rune, m.Byte))
+	}
+	return recs
 }
 
 // WriteIndex atomically writes the sidecar for path.
 func WriteIndex(fsys FS, path string, ix *DocIndex) error {
-	b := ix.encode()
-	return AtomicWrite(fsys, IndexPath(path), func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
-	})
+	return WriteRecordFile(fsys, IndexPath(path), IndexMagic, ix.records())
 }
 
-// parseIndex decodes sidecar bytes. Unlike journal replay there is no
-// tolerated damage: any torn, corrupt, or out-of-order record invalidates
-// the whole index, because a half-trusted accelerator is worse than none.
-func parseIndex(b []byte) (*DocIndex, error) {
-	s := string(b)
-	nl := strings.IndexByte(s, '\n')
-	if nl < 0 || s[:nl] != IndexMagic {
-		return nil, fmt.Errorf("persist: not an offset index (bad magic)")
+// parseIndex decodes the sidecar's record payloads. Any malformed or
+// misplaced record invalidates the whole index, like damage to the file
+// itself.
+func parseIndex(recs []string) (*DocIndex, error) {
+	if len(recs) < 2 {
+		return nil, fmt.Errorf("persist: index missing meta/comp records")
 	}
-	s = s[nl+1:]
 	ix := &DocIndex{}
-	wantSeq := uint64(0)
-	for len(s) > 0 {
-		var logical strings.Builder
-		for {
-			nl = strings.IndexByte(s, '\n')
-			if nl < 0 {
-				return nil, fmt.Errorf("persist: torn index record")
-			}
-			line := s[:nl]
-			s = s[nl+1:]
-			cont, err := datastream.DecodeLine(&logical, line)
-			if err != nil {
-				return nil, fmt.Errorf("persist: undecodable index record: %w", err)
-			}
-			if !cont {
-				break
-			}
-			if len(s) == 0 {
-				return nil, fmt.Errorf("persist: index continuation runs off the end")
-			}
-		}
-		seq, payload, ok := parseRecord(logical.String())
-		if !ok || seq != wantSeq {
-			return nil, fmt.Errorf("persist: invalid index record where seq %d expected", wantSeq)
-		}
-		if err := ix.applyRecord(seq, payload); err != nil {
+	for seq, payload := range recs {
+		if err := ix.applyRecord(uint64(seq), payload); err != nil {
 			return nil, err
 		}
-		wantSeq++
-	}
-	if wantSeq < 2 {
-		return nil, fmt.Errorf("persist: index missing meta/comp records")
 	}
 	return ix, nil
 }
@@ -375,11 +335,11 @@ func (ix *DocIndex) applyRecord(seq uint64, payload string) error {
 // agree. Any failure returns an error; callers treat every error the same
 // way — fall back to the full parse.
 func LoadIndex(fsys FS, path string) (*DocIndex, error) {
-	b, err := ReadFile(fsys, IndexPath(path))
+	recs, err := ReadRecordFile(fsys, IndexPath(path), IndexMagic)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := parseIndex(b)
+	ix, err := parseIndex(recs)
 	if err != nil {
 		return nil, err
 	}

@@ -3,31 +3,14 @@ package persist
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"strconv"
-	"strings"
-
-	"atk/internal/datastream"
 )
 
-// The edit journal is an append-only write-ahead log. Each record is one
-// logical line framed with the datastream writer's line discipline
-// (printable 7-bit ASCII, backslash escapes, continuation-wrapped under 80
-// columns), carrying a sequence number and a CRC:
-//
-//	%atkjournal1
-//	0 4f2a91c3 base 89ab12cd
-//	1 0c77be01 i 12 hello
-//	2 91d00a2f d 3 4
-//
-// Record 0 is the header binding the journal to a specific saved document
-// (by CRC of its bytes). Sequence numbers are consecutive, and each CRC
-// covers "<seq> <payload>", so replay detects truncation, bit rot, and
-// splicing. Replay is tolerant of a damaged tail — a crash mid-append
-// leaves a torn last record, which is dropped with a diagnostic while
-// everything before it is kept — but never trusts anything after the first
-// damaged record.
+// The edit journal is an append-only write-ahead log in the CRC record
+// format (see record.go). Record 0 is the header binding the journal to a
+// specific saved document (by CRC of its bytes); the edit records follow.
+// Replay is tolerant of a damaged tail — a crash mid-append leaves a torn
+// last record, which is dropped with a diagnostic while everything before
+// it is kept — but never trusts anything after the first damaged record.
 
 // JournalMagic is the first line of every journal file.
 const JournalMagic = "%atkjournal1"
@@ -61,55 +44,12 @@ type Journal struct {
 	scratch []byte
 }
 
-// frameRecord renders one record as its on-disk bytes (physical lines,
-// each newline-terminated).
-func frameRecord(seq uint64, payload string) string {
-	b, _ := appendFrameRecord(nil, nil, seq, payload)
-	return string(b)
-}
-
-// appendFrameRecord appends frameRecord's bytes onto dst, using scratch
-// for the unescaped body; it returns the grown dst and scratch for reuse.
-// The append path runs once per committed op on a replication host, so it
-// reuses the caller's buffers instead of building throwaway strings.
-func appendFrameRecord(dst, scratch []byte, seq uint64, payload string) (out, scratchOut []byte) {
-	// Build the CRC input "<seq> <payload>" first, then open nine bytes
-	// in the middle for the "<crc> " hex field — one buffer, no Sprintf.
-	body := strconv.AppendUint(scratch[:0], seq, 10)
-	body = append(body, ' ')
-	seqLen := len(body)
-	body = append(body, payload...)
-	crc := crc32.ChecksumIEEE(body)
-	body = append(body, "000000000"...)
-	copy(body[seqLen+9:], body[seqLen:len(body)-9])
-	const hexDigits = "0123456789abcdef"
-	for i, shift := 0, 28; shift >= 0; i, shift = i+1, shift-4 {
-		body[seqLen+i] = hexDigits[(crc>>shift)&0xf]
-	}
-	body[seqLen+8] = ' '
-	return datastream.AppendEscapedBytes(dst, body), body
-}
-
-func recordCRC(seq uint64, payload string) uint32 {
-	return crc32.ChecksumIEEE([]byte(fmt.Sprintf("%d %s", seq, payload)))
-}
-
 // CreateJournal atomically writes a fresh journal at path containing the
 // header and any carried-over records, then reopens it for appending. The
 // atomic rewrite means a crash mid-creation leaves either the previous
 // journal or the complete new one.
 func CreateJournal(fsys FS, path, header string, records []string) (*Journal, error) {
-	var b strings.Builder
-	b.WriteString(JournalMagic + "\n")
-	b.WriteString(frameRecord(0, header))
-	for i, rec := range records {
-		b.WriteString(frameRecord(uint64(i+1), rec))
-	}
-	err := AtomicWrite(fsys, path, func(w io.Writer) error {
-		_, werr := w.Write([]byte(b.String()))
-		return werr
-	})
-	if err != nil {
+	if err := WriteRecordFile(fsys, path, JournalMagic, append([]string{header}, records...)); err != nil {
 		return nil, err
 	}
 	f, err := fsys.OpenAppend(path)
@@ -255,86 +195,21 @@ func ReplayJournal(fsys FS, path string) (*Replay, error) {
 // replayBytes parses journal content. Exposed to the fuzzer via
 // ReplayJournalBytes.
 func replayBytes(b []byte) *Replay {
+	recs, err := parseRecords(b, JournalMagic)
 	rep := &Replay{}
-	damage := func(format string, args ...any) *Replay {
+	if len(recs) > 0 {
+		rep.Header, rep.Records = recs[0], recs[1:]
+	}
+	switch {
+	case err != nil:
 		rep.Damaged = true
-		rep.Diag = fmt.Sprintf(format, args...)
-		return rep
-	}
-	s := string(b)
-	// Magic line.
-	nl := strings.IndexByte(s, '\n')
-	if nl < 0 || s[:nl] != JournalMagic {
-		return damage("not a journal (bad magic line)")
-	}
-	s = s[nl+1:]
-	wantSeq := uint64(0)
-	sawHeader := false
-	for len(s) > 0 {
-		// One logical line: physical lines joined while continuations ask
-		// for more. A missing final newline is a torn append.
-		var logical strings.Builder
-		for {
-			nl = strings.IndexByte(s, '\n')
-			if nl < 0 {
-				return damage("torn record at end of journal (no newline); %d records kept", len(rep.Records))
-			}
-			line := s[:nl]
-			s = s[nl+1:]
-			cont, err := datastream.DecodeLine(&logical, line)
-			if err != nil {
-				return damage("undecodable record after seq %d: %v", wantSeq-1, err)
-			}
-			if !cont {
-				break
-			}
-			if len(s) == 0 {
-				return damage("continuation runs off end of journal; %d records kept", len(rep.Records))
-			}
-		}
-		seq, payload, ok := parseRecord(logical.String())
-		if !ok || seq != wantSeq {
-			return damage("invalid record where seq %d expected; %d records kept", wantSeq, len(rep.Records))
-		}
-		if !sawHeader {
-			rep.Header = payload
-			sawHeader = true
-		} else {
-			rep.Records = append(rep.Records, payload)
-		}
-		wantSeq++
-	}
-	if !sawHeader {
-		return damage("journal has no header record")
+		rep.Diag = fmt.Sprintf("%v; %d records kept", err, len(rep.Records))
+	case len(recs) == 0:
+		rep.Damaged = true
+		rep.Diag = "journal has no header record"
 	}
 	return rep
 }
 
 // ReplayJournalBytes parses raw journal bytes (the fuzzing entry point).
 func ReplayJournalBytes(b []byte) *Replay { return replayBytes(b) }
-
-// parseRecord splits "<seq> <crc> <payload>" and verifies the CRC.
-func parseRecord(body string) (seq uint64, payload string, ok bool) {
-	sp1 := strings.IndexByte(body, ' ')
-	if sp1 <= 0 {
-		return 0, "", false
-	}
-	seq, err := strconv.ParseUint(body[:sp1], 10, 64)
-	if err != nil {
-		return 0, "", false
-	}
-	rest := body[sp1+1:]
-	sp2 := strings.IndexByte(rest, ' ')
-	if sp2 != 8 { // fixed-width %08x
-		return 0, "", false
-	}
-	crc, err := strconv.ParseUint(rest[:8], 16, 32)
-	if err != nil {
-		return 0, "", false
-	}
-	payload = rest[9:]
-	if uint32(crc) != recordCRC(seq, payload) {
-		return 0, "", false
-	}
-	return seq, payload, true
-}

@@ -258,11 +258,9 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 	// fewer records were ever appended — valid and undamaged. A cut
 	// anywhere else is a torn record and must raise the damage flag.
 	boundary := map[int]int{} // offset -> record count at that offset
-	off := len(JournalMagic) + 1 + len(frameRecord(0, "base 00000000"))
-	boundary[off] = 0
-	for i, r := range []string{"i 0 one", "i 3 two", "i 6 three"} {
-		off += len(frameRecord(uint64(i+1), r))
-		boundary[off] = i + 1
+	recs := []string{"base 00000000", "i 0 one", "i 3 two", "i 6 three"}
+	for i := range recs {
+		boundary[len(encodeRecords(JournalMagic, recs[:i+1]))] = i
 	}
 
 	// Chop the file at every length; replay must never error, never
@@ -309,9 +307,9 @@ func TestJournalCorruptInteriorStopsReplay(t *testing.T) {
 func TestJournalRejectsSplicedSequence(t *testing.T) {
 	// Two individually valid records with a gap in the sequence: replay
 	// must stop at the gap rather than silently skip an edit.
-	body := JournalMagic + "\n" + frameRecord(0, "base 00000000") +
-		frameRecord(1, "i 0 first") + frameRecord(3, "i 9 skipped ahead")
-	rep := ReplayJournalBytes([]byte(body))
+	body := encodeRecords(JournalMagic, []string{"base 00000000", "i 0 first"})
+	body, _ = appendFrameRecord(body, nil, 3, "i 9 skipped ahead")
+	rep := ReplayJournalBytes(body)
 	if !rep.Damaged || len(rep.Records) != 1 {
 		t.Fatalf("damaged=%v records=%v", rep.Damaged, rep.Records)
 	}

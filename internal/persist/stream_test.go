@@ -354,7 +354,11 @@ func TestBuildIndexGeometry(t *testing.T) {
 		t.Fatalf("first mark %+v does not anchor the content start %d", ix.Marks, ix.ContentStart)
 	}
 	// The index round-trips through its on-disk form.
-	back, err := parseIndex(ix.encode())
+	recs, err := parseRecords(encodeRecords(IndexMagic, ix.records()), IndexMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := parseIndex(recs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,10 @@ type HostOptions struct {
 	// QueueLen bounds each session's outbound queue. A session whose queue
 	// is full when a broadcast arrives is a slow consumer and is
 	// disconnected — fan-out never blocks on one laggard and never buffers
-	// unbounded memory. Default 256.
+	// unbounded memory. Default 1024, the client's own inbox bound: a
+	// healthy reader whose write goroutine waits out a few scheduler time
+	// slices while an uncapped writer commits ~15k groups/s queues a few
+	// hundred frames, and must not be taken for a slow consumer.
 	QueueLen int
 	// IdleTimeout is the per-session read deadline; a session silent for
 	// this long (no ops, no pings) is disconnected. Default 60s.
@@ -79,7 +82,7 @@ func (o HostOptions) withDefaults() HostOptions {
 		o.historyLimit = 4096
 	}
 	if o.QueueLen <= 0 {
-		o.QueueLen = 256
+		o.QueueLen = 1024
 	}
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = 60 * time.Second

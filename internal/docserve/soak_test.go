@@ -27,7 +27,7 @@ const (
 func TestSoakConcurrentSessions(t *testing.T) {
 	// QueueLen must cover the worst-case burst: in-process pipes have zero
 	// latency, so all ~9*30 commits plus style checkpoints can land while a
-	// session's writer goroutine is starved; the default 256 intermittently
+	// session's writer goroutine is starved; a 256 bound intermittently
 	// kicked healthy clients as "slow". Eviction itself is covered by
 	// TestServeSlowConsumerKicked.
 	h := NewHost("soak", newDoc(t, "The quick brown fox jumps over the lazy dog\n"), HostOptions{QueueLen: 4096})

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify fuzz generate bench bench-docserve bench-stream slo
+.PHONY: all build test verify fuzz generate bench bench-docserve bench-stream bench-e2e slo
 
 all: build
 
@@ -14,8 +14,10 @@ test:
 # It builds and vets every package, runs the full test suite under the
 # race detector (which includes the golden-frame comparisons), reruns the
 # docserve soak and table-collaboration tests 20 times under it (their
-# interleavings vary run to run, so one pass proves little), and
-# smoke-fuzzes the datastream reader and the repaint equivalence oracle.
+# interleavings vary run to run, so one pass proves little),
+# smoke-fuzzes the datastream reader and the repaint equivalence oracle,
+# holds the committed benchmark numbers to their gates, and runs the
+# end-to-end benchmark (bench-e2e).
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -28,6 +30,18 @@ verify:
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=10s ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=10s ./internal/ops
 	$(GO) run ./cmd/slogate -bench BENCH_text.json -bench BENCH_docserve.json -bench BENCH_stream.json
+	$(MAKE) bench-e2e
+
+# bench-e2e builds and runs the end-to-end benchmark, e2ebench, a module
+# of its own that `go test ./...` never builds. solo_edit and pair_type
+# must each end with correct output and zero failed operations, and a
+# run whose output-check model is skewed by one keystroke must fail.
+E2E_PASSED = tail -n 1 | grep -q '^{"correct":true,"attempted":[0-9]*,"failed":0,'
+bench-e2e:
+	bash e2ebench/run.sh --workload solo_edit --seconds 5 | $(E2E_PASSED)
+	bash e2ebench/run.sh --workload pair_type --seconds 5 | $(E2E_PASSED)
+	out=$$(bash e2ebench/run.sh --workload pair_type --seconds 1 --model-skew 2>/dev/null); \
+		test $$? -ne 0 && echo "$$out" | tail -n 1 | grep -q '^{"correct":false,'
 
 # fuzz runs all fuzz targets for longer; extend FUZZTIME for real runs.
 FUZZTIME ?= 30s

@@ -579,6 +579,40 @@ func BenchmarkE9TextIndexing(b *testing.B) {
 	b.Run("RelayoutViewport10k", relayout(10000, true))
 	b.Run("RelayoutFull100k", relayout(100000, false))
 	b.Run("RelayoutViewport100k", relayout(100000, true))
+
+	// One keystroke and its undoing at the middle line, on a small and a
+	// large document: the text edit alone, and the edit plus the repair
+	// of a laid-out text view scrolled to it (no interaction manager, so
+	// no flush). benchjson derives the large/small ratios, which slogate
+	// holds near 1: a keystroke must not cost more in a bigger document.
+	edit := func(nLines int, view bool) func(*testing.B) {
+		var d *text.Data
+		return func(b *testing.B) {
+			if d == nil { // build once across the b.N rounds
+				d = editedDoc(b, reg, nLines)
+				if view {
+					v := textview.New(reg)
+					v.SetDataObject(d)
+					v.SetBounds(graphics.XYWH(0, 0, 560, 360))
+					v.ScrollTo(v.Lines() / 2)
+				}
+			}
+			pos := d.LineEnd(d.LineStart(d.Len() / 2))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.Insert(pos, "x"); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.Delete(pos, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("EditData2k", edit(2000, false))
+	b.Run("EditData200k", edit(200000, false))
+	b.Run("EditView2k", edit(2000, true))
+	b.Run("EditView200k", edit(200000, true))
 }
 
 // --- E10: deployment scale (§9: 3000 users; EZ displacing emacs) ---

@@ -99,6 +99,31 @@ func TestSpeedupsFromMergedEntries(t *testing.T) {
 	}
 }
 
+// TestSizeRatioDerivation pins the direction of the size ratios: the
+// large document's ns/op over the small one's.
+func TestSizeRatioDerivation(t *testing.T) {
+	col := newCollector()
+	for _, l := range []string{
+		"BenchmarkE9TextIndexing/EditData2k-8 1000 1500 ns/op",
+		"BenchmarkE9TextIndexing/EditData200k-8 1000 1800 ns/op",
+		"BenchmarkE9TextIndexing/EditView2k-8 1000 5000 ns/op",
+		"BenchmarkE9TextIndexing/EditView200k-8 1000 15000 ns/op",
+	} {
+		e, ok := parseBench(l)
+		if !ok {
+			t.Fatalf("rejected %q", l)
+		}
+		col.add(e)
+	}
+	sp := deriveSpeedups(col.finalize())
+	if got := sp["text_edit_200k_over_2k"]; got != 1.2 {
+		t.Fatalf("text_edit_200k_over_2k = %v, want 1.2 (1800/1500)", got)
+	}
+	if got := sp["textview_edit_200k_over_2k"]; got != 3 {
+		t.Fatalf("textview_edit_200k_over_2k = %v, want 3 (15000/5000)", got)
+	}
+}
+
 // TestExtraRatioDerivation pins the custom-metric ratio path: the
 // open-RSS ratio divides the pair's heap-mb metrics, not their ns/op.
 func TestExtraRatioDerivation(t *testing.T) {

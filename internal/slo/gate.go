@@ -228,7 +228,9 @@ type BenchGate struct {
 
 // DefaultBenchGates is the release floor for the committed BENCH_*.json
 // numbers: thresholds sit far enough from the recorded values that only
-// an order-of-magnitude regression (or a vanished metric) trips them.
+// an order-of-magnitude regression (or a vanished metric) trips them,
+// except the size ratios, which hold a keystroke's cost flat in
+// document size.
 func DefaultBenchGates() []BenchGate {
 	return []BenchGate{
 		{Name: "fanout_allocs", Bench: "DocServeFanout", Metric: "allocs_per_op", Op: "<=", Threshold: 128},
@@ -242,6 +244,12 @@ func DefaultBenchGates() []BenchGate {
 		{Name: "tablecollab_p99_lag", Bench: "DocServeTableCollab", Metric: "extra:p99-lag-ns", Op: "<=", Threshold: 5e6},
 		{Name: "line_index_speedup", Metric: "speedup:line_start_end_of_doc", Op: ">=", Threshold: 5},
 		{Name: "relayout_speedup", Metric: "speedup:relayout_100k_lines", Op: ">=", Threshold: 100},
+		// A keystroke (one insert and one delete at the middle line) may
+		// cost at most twice as much in a 200,000-line document as in a
+		// 2,000-line one: in the text object alone, and with a laid-out
+		// text view repairing its layout.
+		{Name: "text_edit_size_ratio", Metric: "speedup:text_edit_200k_over_2k", Op: "<=", Threshold: 2},
+		{Name: "textview_edit_size_ratio", Metric: "speedup:textview_edit_200k_over_2k", Op: "<=", Threshold: 2},
 		// The streaming large-document pipeline (BENCH_stream.json): a
 		// 100 MB document must open at least 10x faster to first paint and
 		// hold at least 5x less live heap than the eager load, and an

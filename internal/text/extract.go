@@ -19,13 +19,7 @@ func (d *Data) Extract(start, end int) (*Data, error) {
 	out := New()
 	out.reg = d.reg
 	// Content, anchors included — copied piece-walk-free via the index.
-	content := d.Runes(start, end)
-	out.orig = content
-	out.length = len(content)
-	if out.length > 0 {
-		out.pieces = []piece{{srcOrig, 0, out.length}}
-	}
-	out.buildNewlineIndex()
+	out.setContent(d.Runes(start, end))
 	// Styles: definitions referenced by clipped runs, plus the runs.
 	for _, r := range d.runs {
 		s, e := max(r.Start, start), min(r.End, end)

@@ -1,58 +1,37 @@
 package text
 
-import "sort"
+import "atk/internal/chunked"
 
-// Indexed-buffer layer: the piece-table index, the rune cursor, and the
-// incrementally-maintained newline index. Together they turn the per-rune
-// O(pieces) lookups of the original piece table into O(log k) point
-// lookups and amortized O(1) iteration, and line queries into O(log L)
-// binary searches.
+// Indexed-buffer layer: the piece table and the newline index, both
+// chunked.Seq sequences, and the rune cursor. A piece's length and a hard
+// line's length are its element lengths in those sequences, so buffer
+// positions are derived, never stored: an edit rewrites one chunk of each
+// index and shifts a few chunk offsets, a point or line lookup is a
+// binary search over chunks plus a scan inside one, and iteration is
+// amortized O(1) per rune.
 //
 // Concurrency: like every toolkit data object, Data is not safe for
-// concurrent mutation. Concurrent *readers* (each with its own Cursor)
-// are safe only while no goroutine mutates the buffer AND the lazy piece
-// index has been primed by a single-threaded read first — the index is
-// rebuilt lazily on first use after an edit, and that rebuild is a write.
+// concurrent mutation. Concurrent readers (each with its own Cursor) are
+// safe while no goroutine mutates the buffer: no lookup writes.
 
 // --- piece index ---
 
-// pieceIndex returns d.cum, the rune position at which each piece starts
-// (cum[i] is the buffer position of pieces[i][0]). It is rebuilt lazily
-// after any piece-table mutation, detected through the generation
-// counter; rebuilding is O(k), the same order as the splice that
-// invalidated it, so lookups stay O(log k) amortized.
-func (d *Data) pieceIndex() []int {
-	if !d.cumOK || d.cumGen != d.gen {
-		cum := d.cum[:0]
-		pos := 0
-		for _, p := range d.pieces {
-			cum = append(cum, pos)
-			pos += p.n
-		}
-		d.cum = cum
-		d.cumGen = d.gen
-		d.cumOK = true
-	}
-	return d.cum
+// pieceAt locates the piece holding rune position pos, returning an
+// iterator at it and the rune offset of pos within it; for pos == Len
+// the iterator is at the end and the offset 0.
+func (d *Data) pieceAt(pos int) (chunked.Iter[piece], int) {
+	it := d.pieces.Find(pos)
+	return it, pos - it.Start()
 }
 
-// pieceAt locates the piece containing rune position pos (0 <= pos <
-// Len) in O(log k), returning the piece index and the rune offset
-// within it.
-func (d *Data) pieceAt(pos int) (pi, po int) {
-	cum := d.pieceIndex()
-	pi = sort.Search(len(cum), func(i int) bool { return cum[i] > pos }) - 1
-	return pi, pos - cum[pi]
-}
-
-// bump invalidates every derived index after a piece-table mutation.
-// Outstanding cursors detect the new generation and re-seek themselves.
+// bump invalidates outstanding cursors after a piece-table mutation: they
+// detect the new generation and re-seek themselves.
 func (d *Data) bump() { d.gen++ }
 
 // --- cursor ---
 
 // Cursor is an iteration position in the buffer. Next and Prev run in
-// amortized O(1): the cursor remembers which piece it is in, so
+// amortized O(1): the cursor holds the runes of the piece it is in, so
 // sequential iteration never re-walks the piece table. Cursors survive
 // edits: after any Insert/Delete/undo/redo/Compact the cursor re-seeks
 // its numeric position (clamped to the new length) on the next call, in
@@ -65,9 +44,10 @@ func (d *Data) bump() { d.gen++ }
 type Cursor struct {
 	d   *Data
 	gen uint64
-	pos int // buffer position of the next rune Next returns
-	pi  int // piece containing pos; len(pieces) when pos == Len
-	po  int // rune offset within piece pi
+	pos int                 // buffer position of the next rune Next returns
+	it  chunked.Iter[piece] // the piece holding pos, or the end
+	run []rune              // it's runes; nil at the end
+	po  int                 // offset of pos in run (len(run) at a piece's end)
 }
 
 // Cursor returns a cursor positioned at pos (clamped to [0, Len]).
@@ -81,19 +61,20 @@ func (d *Data) Cursor(pos int) Cursor {
 // Seek repositions the cursor at pos (clamped to [0, Len]) in O(log k).
 func (c *Cursor) Seek(pos int) {
 	d := c.d
-	if pos < 0 {
-		pos = 0
-	}
-	if pos > d.length {
-		pos = d.length
-	}
+	pos = max(0, min(pos, d.length))
 	c.gen = d.gen
 	c.pos = pos
-	if pos == d.length {
-		c.pi, c.po = len(d.pieces), 0
-		return
+	c.it, c.po = d.pieceAt(pos)
+	c.load()
+}
+
+// load points run at the runes of the cursor's piece.
+func (c *Cursor) load() {
+	c.run = nil
+	if c.it.Ok() {
+		p := c.it.Val()
+		c.run = c.d.src(p.src)[p.off : p.off+c.it.Len()]
 	}
-	c.pi, c.po = d.pieceAt(pos)
 }
 
 // Pos returns the cursor's buffer position.
@@ -111,18 +92,17 @@ func (c *Cursor) revalidate() {
 // at the end of the buffer.
 func (c *Cursor) Next() (r rune, ok bool) {
 	c.revalidate()
-	d := c.d
-	if c.pos >= d.length {
-		return 0, false
-	}
-	p := d.pieces[c.pi]
-	r = d.src(p.src)[p.off+c.po]
-	c.pos++
-	c.po++
-	for c.pi < len(d.pieces) && c.po >= d.pieces[c.pi].n {
-		c.pi++
+	if c.po == len(c.run) {
+		if c.pos >= c.d.length {
+			return 0, false
+		}
+		c.it.Next()
+		c.load()
 		c.po = 0
 	}
+	r = c.run[c.po]
+	c.po++
+	c.pos++
 	return r, true
 }
 
@@ -130,95 +110,74 @@ func (c *Cursor) Next() (r rune, ok bool) {
 // over; ok is false at the start of the buffer.
 func (c *Cursor) Prev() (r rune, ok bool) {
 	c.revalidate()
-	d := c.d
 	if c.pos <= 0 {
 		return 0, false
 	}
-	c.pos--
-	for c.po == 0 {
-		c.pi--
-		c.po = d.pieces[c.pi].n
+	if c.po == 0 {
+		c.it.Prev()
+		c.load()
+		c.po = len(c.run)
 	}
 	c.po--
-	p := d.pieces[c.pi]
-	return d.src(p.src)[p.off+c.po], true
+	c.pos--
+	return c.run[c.po], true
 }
 
 // --- newline index ---
 
-// The newline index d.nl holds the buffer position of every '\n', sorted.
-// It is maintained incrementally by every insert and delete (a binary
-// search plus a shift of the tail), so LineStart/LineEnd/LineCount are
-// O(log L) with no rune scanning.
+// The newline index d.lines holds one element per hard line, its length
+// counting the line's newline; the last line has none and may be empty.
+// So Len is LineCount, Total is the buffer length, and the line holding
+// pos is a Find. Every insert and delete rewrites the lines it touches.
 
-// buildNewlineIndex rebuilds d.nl from scratch — the initialization path
-// (NewString, ReadPayload, Extract).
-func (d *Data) buildNewlineIndex() {
-	d.nl = d.nl[:0]
-	pos := 0
-	for _, p := range d.pieces {
-		seg := d.src(p.src)[p.off : p.off+p.n]
-		for i, r := range seg {
-			if r == '\n' {
-				d.nl = append(d.nl, pos+i)
-			}
-		}
-		pos += p.n
+// lineAt returns the hard line holding pos (the last line for pos ==
+// Len).
+func (d *Data) lineAt(pos int) chunked.Iter[struct{}] {
+	it := d.lines.Find(pos)
+	if !it.Ok() {
+		it.Prev()
 	}
+	return it
 }
 
-// noteInsert updates the newline index for rs inserted at pos.
+// resetLines empties the newline index to the one line of an empty
+// buffer.
+func (d *Data) resetLines() {
+	d.lines.Reset()
+	d.lines.Append(0, struct{}{})
+}
+
+// noteInsert updates the newline index for rs inserted at pos: the line
+// holding pos grows, or splits at each newline in rs.
 func (d *Data) noteInsert(pos int, rs []rune) {
-	idx := sort.SearchInts(d.nl, pos)
-	n := len(rs)
-	for i := idx; i < len(d.nl); i++ {
-		d.nl[i] += n
-	}
-	add := 0
-	for _, r := range rs {
-		if r == '\n' {
-			add++
-		}
-	}
-	if add == 0 {
-		return
-	}
-	d.nl = append(d.nl, make([]int, add)...)
-	copy(d.nl[idx+add:], d.nl[idx:len(d.nl)-add])
-	j := idx
+	ln := d.lineAt(pos)
+	var lens []int
+	start := ln.Start() // of the line being split, after the insert
 	for i, r := range rs {
 		if r == '\n' {
-			d.nl[j] = pos + i
-			j++
+			lens = append(lens, pos+i+1-start)
+			start = pos + i + 1
 		}
 	}
+	lens = append(lens, ln.End()+len(rs)-start)
+	d.lines.Replace(ln.Index(), ln.Index()+1, lens, make([]struct{}, len(lens)))
 }
 
-// noteDelete updates the newline index for the deletion of [pos, pos+n).
+// noteDelete updates the newline index for the deletion of [pos, pos+n):
+// the lines it touches join into one.
 func (d *Data) noteDelete(pos, n int) {
-	lo := sort.SearchInts(d.nl, pos)
-	hi := sort.SearchInts(d.nl, pos+n)
-	k := hi - lo
-	for i := hi; i < len(d.nl); i++ {
-		d.nl[i-k] = d.nl[i] - n
-	}
-	d.nl = d.nl[:len(d.nl)-k]
+	a, b := d.lineAt(pos), d.lineAt(pos+n)
+	joined := pos - a.Start() + b.End() - (pos + n)
+	d.lines.Replace(a.Index(), b.Index()+1, []int{joined}, []struct{}{{}})
 }
 
 // LineCount returns the number of hard (newline-delimited) lines, in
 // O(1). An empty buffer has one line; a trailing newline opens another.
-func (d *Data) LineCount() int { return len(d.nl) + 1 }
+func (d *Data) LineCount() int { return d.lines.Len() }
 
-// LineOf returns the zero-based hard-line number containing pos, in
-// O(log L).
+// LineOf returns the zero-based hard-line number containing pos.
 func (d *Data) LineOf(pos int) int {
-	if pos < 0 {
-		return 0
-	}
-	if pos > d.length {
-		pos = d.length
-	}
-	return sort.SearchInts(d.nl, pos)
+	return d.lineAt(max(0, min(pos, d.length))).Index()
 }
 
 // Runes returns a copy of the runes in [start, end) (clamped), walking
@@ -234,17 +193,10 @@ func (d *Data) Runes(start, end int) []rune {
 		return nil
 	}
 	out := make([]rune, 0, end-start)
-	pi, po := d.pieceAt(start)
-	pos := start
-	for pi < len(d.pieces) && pos < end {
-		p := d.pieces[pi]
-		take := p.n - po
-		if take > end-pos {
-			take = end - pos
-		}
+	for it, po := d.pieceAt(start); len(out) < end-start; it.Next() {
+		p := it.Val()
+		take := min(it.Len()-po, end-start-len(out))
 		out = append(out, d.src(p.src)[p.off+po:p.off+po+take]...)
-		pos += take
-		pi++
 		po = 0
 	}
 	return out

@@ -1,6 +1,8 @@
 package text
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -306,5 +308,100 @@ func TestWordAtOnFragmentedBuffer(t *testing.T) {
 		if ws != bs || we != be {
 			t.Fatalf("WordAt(%d) = [%d,%d) want [%d,%d) in %q", pos, ws, we, bs, be, string(s))
 		}
+	}
+}
+
+// TestIndexesAcrossChunks checks the piece and newline indexes against a
+// rune oracle on a document that spans many chunks of both: loaded in
+// appended chunks the way a streamed open delivers them, then edited at
+// random with single runes, multi-line pastes, and deletes that span
+// chunks, and fragmented into thousands of pieces on the way.
+func TestIndexesAcrossChunks(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	words := []string{"alpha ", "beta ", "gamma\n", "\n", "delta epsilon "}
+	text := func(n int) string {
+		var sb strings.Builder
+		for range n {
+			sb.WriteString(words[rnd.Intn(len(words))])
+		}
+		return sb.String()
+	}
+	d := New()
+	var oracle []rune
+	for range 300 {
+		rs := []rune(text(rnd.Intn(200)))
+		d.appendTail(rs)
+		oracle = append(oracle, rs...)
+	}
+	check := func(step int) {
+		t.Helper()
+		if got := d.String(); got != string(oracle) {
+			t.Fatalf("step %d: content diverged from the oracle", step)
+		}
+		var starts []int // oracle line starts
+		starts = append(starts, 0)
+		for i, r := range oracle {
+			if r == '\n' {
+				starts = append(starts, i+1)
+			}
+		}
+		if d.LineCount() != len(starts) {
+			t.Fatalf("step %d: LineCount = %d, want %d", step, d.LineCount(), len(starts))
+		}
+		for pos := 0; pos <= len(oracle); pos++ {
+			line := sort.Search(len(starts), func(i int) bool { return starts[i] > pos }) - 1
+			if got := d.LineOf(pos); got != line {
+				t.Fatalf("step %d: LineOf(%d) = %d, want %d", step, pos, got, line)
+			}
+			if pos > 0 && d.LineStart(pos) != starts[line] {
+				t.Fatalf("step %d: LineStart(%d) = %d, want %d", step, pos, d.LineStart(pos), starts[line])
+			}
+			end := len(oracle)
+			if line+1 < len(starts) {
+				end = starts[line+1] - 1
+			}
+			if pos < len(oracle) && d.LineEnd(pos) != end {
+				t.Fatalf("step %d: LineEnd(%d) = %d, want %d", step, pos, d.LineEnd(pos), end)
+			}
+		}
+		for range 200 {
+			if len(oracle) == 0 {
+				break
+			}
+			pos := rnd.Intn(len(oracle))
+			if r, _ := d.RuneAt(pos); r != oracle[pos] {
+				t.Fatalf("step %d: RuneAt(%d) = %q, want %q", step, pos, r, oracle[pos])
+			}
+		}
+	}
+	check(-1)
+	for step := range 2000 {
+		pos := rnd.Intn(len(oracle) + 1)
+		switch rnd.Intn(4) {
+		case 0, 1: // a keystroke
+			s := string("ab\n"[rnd.Intn(3)])
+			if err := d.Insert(pos, s); err != nil {
+				t.Fatal(err)
+			}
+			oracle = append(oracle[:pos:pos], append([]rune(s), oracle[pos:]...)...)
+		case 2: // a paste
+			s := text(rnd.Intn(400))
+			if err := d.Insert(pos, s); err != nil {
+				t.Fatal(err)
+			}
+			oracle = append(oracle[:pos:pos], append([]rune(s), oracle[pos:]...)...)
+		case 3: // a delete, sometimes long
+			n := min(rnd.Intn(2)*rnd.Intn(5000)+rnd.Intn(4), len(oracle)-pos)
+			if err := d.Delete(pos, n); err != nil {
+				t.Fatal(err)
+			}
+			oracle = append(oracle[:pos], oracle[pos+n:]...)
+		}
+		if step%100 == 99 {
+			check(step)
+		}
+	}
+	if d.PieceCount() < 1000 {
+		t.Fatalf("only %d pieces: the edits did not fragment the buffer", d.PieceCount())
 	}
 }

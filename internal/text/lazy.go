@@ -128,20 +128,10 @@ func (d *Data) appendTail(rs []rune) {
 	pos := d.length
 	off := len(d.orig)
 	d.orig = append(d.orig, rs...)
-	if k := len(d.pieces); k > 0 && d.pieces[k-1].src == srcOrig && d.pieces[k-1].off+d.pieces[k-1].n == off {
-		d.pieces[k-1].n += n
-	} else {
-		d.pieces = append(d.pieces, piece{srcOrig, off, n})
-	}
+	d.spliceIn(pos, n, piece{srcOrig, off})
 	d.length += n
 	d.bump()
-	// Appended newline positions are strictly increasing, so the sorted
-	// index extends in place.
-	for i, r := range rs {
-		if r == '\n' {
-			d.nl = append(d.nl, pos+i)
-		}
-	}
+	d.noteInsert(pos, rs)
 	wasClean := !d.Dirty()
 	d.NotifyObservers(core.Change{Kind: "load", Pos: pos, Length: n})
 	if wasClean {

@@ -11,9 +11,9 @@ import (
 // TestConcurrentCursorReaders drives many goroutines, each iterating the
 // same buffer through its own Cursor, under the race detector. This is
 // the documented concurrency contract for the indexed buffer: concurrent
-// readers are safe while nothing mutates AND the lazy piece index has
-// been primed by a single-threaded read first. (Gated on -race: without
-// the detector this proves nothing the sequential tests don't.)
+// readers are safe while nothing mutates, with no priming read first.
+// (Gated on -race: without the detector this proves nothing the
+// sequential tests don't.)
 func TestConcurrentCursorReaders(t *testing.T) {
 	d := NewString("")
 	for i := 0; i < 200; i++ {
@@ -22,9 +22,6 @@ func TestConcurrentCursorReaders(t *testing.T) {
 		}
 	}
 	want := d.String()
-	// Prime the lazy piece index single-threaded: the first post-edit
-	// lookup rebuilds it, and that rebuild is a write.
-	d.pieceIndex()
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)

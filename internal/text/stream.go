@@ -120,10 +120,8 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 	// Reset (a reload supersedes any deferred tail).
 	d.closeTail()
 	d.tailErr = nil
-	d.orig, d.add, d.pieces, d.length = nil, nil, nil, 0
+	d.setContent(nil)
 	d.runs, d.embeds = nil, nil
-	d.bump()
-	d.nl = d.nl[:0]
 
 	var content []rune
 	var pendingObj core.DataObject
@@ -142,13 +140,7 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 			if pendingObj != nil && r.Lenient() {
 				r.AddDiagnostic(tok.Line, "embedded %s had no \\view anchor; dropped", pendingObj.TypeName())
 			}
-			d.orig = content
-			d.length = len(content)
-			if d.length > 0 {
-				d.pieces = []piece{{srcOrig, 0, d.length}}
-			}
-			d.bump()
-			d.buildNewlineIndex()
+			d.setContent(content)
 			d.runs = runs
 			d.NotifyObservers(core.FullChange)
 			return nil

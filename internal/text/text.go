@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"atk/internal/chunked"
 	"atk/internal/class"
 	"atk/internal/core"
 )
@@ -32,10 +33,11 @@ const (
 	srcAdd
 )
 
+// piece is a run of one source buffer; its length is its element length
+// in Data.pieces.
 type piece struct {
 	src pieceSrc
 	off int
-	n   int
 }
 
 // Embedded records one embedded component: the data object, the view type
@@ -52,17 +54,13 @@ type Data struct {
 	core.BaseData
 	orig   []rune
 	add    []rune
-	pieces []piece
+	pieces chunked.Seq[piece]
 	length int
 
-	// Derived indexes (see index.go). gen counts piece-table mutations;
-	// cum is the lazily rebuilt cumulative piece-start index; nl is the
-	// incrementally maintained newline index.
-	gen    uint64
-	cum    []int
-	cumGen uint64
-	cumOK  bool
-	nl     []int
+	// Derived state (see index.go). gen counts piece-table mutations, so
+	// cursors know to re-seek; lines is the newline index.
+	gen   uint64
+	lines chunked.Seq[struct{}]
 
 	styles *StyleTable
 	runs   []Run
@@ -95,6 +93,7 @@ type Data struct {
 // New returns an empty text object with the standard style table.
 func New() *Data {
 	d := &Data{styles: NewStyleTable()}
+	d.resetLines()
 	d.InitData(d, "text", "textview")
 	return d
 }
@@ -102,12 +101,7 @@ func New() *Data {
 // NewString returns a text object initialized with s.
 func NewString(s string) *Data {
 	d := New()
-	d.orig = []rune(s)
-	d.length = len(d.orig)
-	if d.length > 0 {
-		d.pieces = []piece{{srcOrig, 0, d.length}}
-	}
-	d.buildNewlineIndex()
+	d.setContent([]rune(s))
 	return d
 }
 
@@ -128,8 +122,8 @@ func (d *Data) RuneAt(pos int) (rune, error) {
 	if pos < 0 || pos >= d.length {
 		return 0, fmt.Errorf("%w: %d of %d", ErrRange, pos, d.length)
 	}
-	pi, po := d.pieceAt(pos)
-	p := d.pieces[pi]
+	it, po := d.pieceAt(pos)
+	p := it.Val()
 	return d.src(p.src)[p.off+po], nil
 }
 
@@ -195,7 +189,7 @@ func (d *Data) insertPlaced(pos, off int, s, kind string) error {
 	if !d.inUndo && !d.noUndo {
 		d.record(editOp{kind: opInsert, pos: pos, text: s})
 	}
-	d.spliceIn(pos, piece{srcAdd, off, n})
+	d.spliceIn(pos, n, piece{srcAdd, off})
 	d.length += n
 	d.bump()
 	d.noteInsert(pos, rs)
@@ -222,116 +216,63 @@ func hasAnchor(rs []rune) bool {
 	return false
 }
 
-// spliceIn splices np into the piece list at rune position pos, in place.
-// Sequential edits stay O(1) amortized: a piece that lands right after an
-// add-buffer piece it is contiguous with merges into it (typing, journal
-// replay, and replication fan-out all produce such runs), and the general
-// case shifts the tail within the existing backing array instead of
-// reallocating the whole list per edit.
-func (d *Data) spliceIn(pos int, np piece) {
-	ps := d.pieces
-	if pos == d.length { // append at the end
-		if k := len(ps); k > 0 {
-			if p := &ps[k-1]; p.src == srcAdd && p.off+p.n == np.off {
-				p.n += np.n
-				return
-			}
-		}
-		d.pieces = append(ps, np)
-		return
+// setContent replaces the buffer with content as one original piece
+// and rebuilds the newline index: the initialization path (NewString,
+// ReadPayload, Extract). Styles and embeds are the caller's.
+func (d *Data) setContent(content []rune) {
+	d.orig, d.add, d.length = content, nil, len(content)
+	d.pieces.Reset()
+	if len(content) > 0 {
+		d.pieces.Append(len(content), piece{srcOrig, 0})
 	}
-	cur := 0
-	for i := range ps {
-		p := ps[i]
-		if pos == cur {
-			// Piece boundary: merge into the preceding add piece when
-			// contiguous, else open one slot at i.
-			if i > 0 {
-				if prev := &ps[i-1]; prev.src == srcAdd && prev.off+prev.n == np.off {
-					prev.n += np.n
-					return
-				}
-			}
-			d.insertPieces(i, np, piece{}, 1)
-			return
-		}
-		if pos < cur+p.n {
-			// Split p: the left part stays at i, np and the right part
-			// take two fresh slots after it.
-			ps[i] = piece{p.src, p.off, pos - cur}
-			right := piece{p.src, p.off + (pos - cur), p.n - (pos - cur)}
-			d.insertPieces(i+1, np, right, 2)
-			return
-		}
-		cur += p.n
-	}
-	d.pieces = append(ps, np) // unreachable (pos == length handled), kept safe
+	d.bump()
+	d.resetLines()
+	d.noteInsert(0, content)
 }
 
-// insertPieces opens k (1 or 2) slots at index i, filling them with a
-// (and b when k == 2), reusing the backing array when capacity allows.
-func (d *Data) insertPieces(i int, a, b piece, k int) {
-	ps := d.pieces
-	if len(ps)+k <= cap(ps) {
-		ps = ps[:len(ps)+k]
-		copy(ps[i+k:], ps[i:])
-	} else {
-		grown := make([]piece, len(ps)+k, (len(ps)+k)*3/2+4)
-		copy(grown, ps[:i])
-		copy(grown[i+k:], ps[i:])
-		ps = grown
+// spliceIn splices the n-rune piece np into the piece list at rune
+// position pos. A piece that lands right after a piece of the same
+// buffer it is contiguous with merges into it (typing, journal replay,
+// replication fan-out and streamed loads all produce such runs);
+// otherwise it opens a slot, splitting the piece that holds pos.
+func (d *Data) spliceIn(pos, n int, np piece) {
+	it, po := d.pieceAt(pos) // the end for an append
+	i := it.Index()
+	if po > 0 {
+		p := it.Val()
+		d.pieces.Replace(i, i+1, []int{po, n, it.Len() - po}, []piece{p, np, {p.src, p.off + po}})
+		return
 	}
-	ps[i] = a
-	if k == 2 {
-		ps[i+1] = b
+	if i > 0 {
+		prev := it
+		prev.Prev()
+		if p := prev.Val(); p.src == np.src && p.off+prev.Len() == np.off {
+			d.pieces.Replace(i-1, i, []int{prev.Len() + n}, []piece{p})
+			return
+		}
 	}
-	d.pieces = ps
+	d.pieces.Replace(i, i, []int{n}, []piece{np})
 }
 
 // spliceOut removes the rune range [pos, pos+n), n > 0, from the piece
-// list in place. At most one piece splits (a deletion strictly inside
-// it); every other shape shrinks the list or keeps its length.
+// list: the pieces it touches give way to the remainders of the first
+// and last of them.
 func (d *Data) spliceOut(pos, n int) {
-	ps := d.pieces
 	end := pos + n
-	cur := 0
-	i0 := 0
-	for ; i0 < len(ps); i0++ {
-		if cur+ps[i0].n > pos {
-			break
-		}
-		cur += ps[i0].n
-	}
-	var repl [2]piece
+	a, b := d.pieces.Find(pos), d.pieces.Find(end-1)
+	var lens [2]int
+	var ps [2]piece
 	k := 0
-	if cur < pos { // left remainder of the first affected piece
-		p := ps[i0]
-		repl[k] = piece{p.src, p.off, pos - cur}
+	if pos > a.Start() { // left remainder of the first piece
+		lens[k], ps[k] = pos-a.Start(), a.Val()
 		k++
 	}
-	i1 := i0
-	for i1 < len(ps) && cur+ps[i1].n <= end {
-		cur += ps[i1].n
-		i1++
-	}
-	if i1 < len(ps) && cur < end { // right remainder of the piece spanning end
-		p := ps[i1]
-		cut := end - cur
-		repl[k] = piece{p.src, p.off + cut, p.n - cut}
+	if b.End() > end { // right remainder of the last piece
+		p := b.Val()
+		lens[k], ps[k] = b.End()-end, piece{p.src, p.off + end - b.Start()}
 		k++
-		i1++
 	}
-	removed := i1 - i0
-	if k <= removed {
-		copy(ps[i0:], repl[:k])
-		copy(ps[i0+k:], ps[i1:])
-		clear(ps[len(ps)-removed+k:])
-		d.pieces = ps[:len(ps)-removed+k]
-		return
-	}
-	// k == 2, removed == 1: the deletion split one piece in two.
-	ps[i0] = repl[0]
-	d.insertPieces(i0+1, repl[1], piece{}, 1)
+	d.pieces.Replace(a.Index(), b.Index()+1, lens[:k], ps[:k])
 }
 
 // Delete removes [pos, pos+n). Embedded components inside the range are
@@ -534,11 +475,7 @@ func (d *Data) LineStart(pos int) int {
 	if pos <= 0 || pos > d.length {
 		return pos
 	}
-	i := sort.SearchInts(d.nl, pos)
-	if i == 0 {
-		return 0
-	}
-	return d.nl[i-1] + 1
+	return d.lineAt(pos).Start()
 }
 
 // LineEnd returns the position of the next newline (or Len), in
@@ -547,15 +484,14 @@ func (d *Data) LineEnd(pos int) int {
 	if pos < 0 || pos >= d.length {
 		return pos
 	}
-	i := sort.SearchInts(d.nl, pos)
-	if i < len(d.nl) {
-		return d.nl[i]
+	if ln := d.lineAt(pos); ln.Index() < d.lines.Len()-1 {
+		return ln.End() - 1
 	}
 	return d.length
 }
 
 // PieceCount exposes fragmentation for benchmarks.
-func (d *Data) PieceCount() int { return len(d.pieces) }
+func (d *Data) PieceCount() int { return d.pieces.Len() }
 
 // Compact rebuilds the buffer into a single piece, shedding fragmentation
 // accumulated by editing. Rune positions are unchanged, so the newline
@@ -565,10 +501,9 @@ func (d *Data) Compact() {
 	s := d.Runes(0, d.length)
 	d.orig = s
 	d.add = nil
+	d.pieces.Reset()
 	if len(s) > 0 {
-		d.pieces = []piece{{srcOrig, 0, len(s)}}
-	} else {
-		d.pieces = nil
+		d.pieces.Append(len(s), piece{srcOrig, 0})
 	}
 	d.bump()
 }

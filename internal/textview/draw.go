@@ -22,8 +22,8 @@ func (v *View) FullUpdate(d *graphics.Drawable) {
 	}
 	selStart, selEnd := v.Selection()
 	y := 2
-	for i := v.topLine; i < len(v.lines) && y < h; i++ {
-		ln := v.lines[i]
+	for it := v.lines.At(v.topLine); it.Ok() && y < h; it.Next() {
+		ln := placedAt(it)
 		base := y + ln.ascent
 		for _, seg := range ln.segs {
 			if seg.child != nil {
@@ -47,7 +47,7 @@ func (v *View) FullUpdate(d *graphics.Drawable) {
 			}
 			d.SetFont(seg.font)
 			d.SetValue(graphics.Black)
-			d.DrawString(graphics.Pt(seg.x, base), td.Slice(seg.start, seg.end))
+			d.DrawString(graphics.Pt(seg.x, base), td.Slice(ln.start+seg.start, ln.start+seg.end))
 		}
 		// Selection highlight for the overlap with this line.
 		if selStart < selEnd && selEnd > ln.start && selStart < ln.nlEnd {
@@ -72,23 +72,24 @@ func (v *View) FullUpdate(d *graphics.Drawable) {
 }
 
 // posToX returns the x coordinate of pos within line ln.
-func (v *View) posToX(ln line, pos int) int {
+func (v *View) posToX(ln placed, pos int) int {
 	td := v.Text()
+	rel := pos - ln.start
 	for _, seg := range ln.segs {
-		if pos < seg.start {
+		if rel < seg.start {
 			continue
 		}
 		if seg.child != nil {
-			if pos == seg.start {
+			if rel == seg.start {
 				return seg.x
 			}
-			if pos == seg.end {
+			if rel == seg.end {
 				return seg.x + seg.w
 			}
 			continue
 		}
-		if pos <= seg.end {
-			return seg.x + seg.font.TextWidth(td.Slice(seg.start, pos))
+		if rel <= seg.end {
+			return seg.x + seg.font.TextWidth(td.Slice(ln.start+seg.start, pos))
 		}
 	}
 	// Past the last segment.
@@ -97,7 +98,7 @@ func (v *View) posToX(ln line, pos int) int {
 		if last.child != nil {
 			return last.x + last.w
 		}
-		return last.x + last.font.TextWidth(td.Slice(last.start, last.end))
+		return last.x + last.font.TextWidth(td.Slice(ln.start+last.start, ln.start+last.end))
 	}
 	return ln.indent
 }
@@ -106,34 +107,29 @@ func (v *View) posToX(ln line, pos int) int {
 // caret is scrolled out of view.
 func (v *View) caretGeometry() (x, y, h int, ok bool) {
 	li := v.lineOf(v.dot)
-	if li < v.topLine {
+	y, ok = v.lineTop(li)
+	if !ok {
 		return 0, 0, 0, false
 	}
-	y = 2
-	for i := v.topLine; i < li; i++ {
-		y += v.lines[i].h
-	}
-	if y >= v.Bounds().Dy() {
-		return 0, 0, 0, false
-	}
-	ln := v.lines[li]
+	ln := v.laid(li)
 	return v.posToX(ln, v.dot), y, ln.h, true
 }
 
 // posAt maps a local point to the nearest buffer position.
 func (v *View) posAt(p graphics.Point) int {
 	v.ensureViewport()
-	if len(v.lines) == 0 {
+	if v.lines.Len() == 0 {
 		return 0
 	}
 	y := 2
 	li := -1
-	for i := v.topLine; i < len(v.lines); i++ {
-		if p.Y < y+v.lines[i].h {
-			li = i
+	for it := v.lines.At(v.topLine); it.Ok(); it.Next() {
+		h := it.Val().h
+		if p.Y < y+h {
+			li = it.Index()
 			break
 		}
-		y += v.lines[i].h
+		y += h
 	}
 	if li < 0 {
 		// Below everything laid out: clicks past the end land on the last
@@ -141,24 +137,24 @@ func (v *View) posAt(p graphics.Point) int {
 		if !v.complete {
 			v.ensureLayout()
 		}
-		li = len(v.lines) - 1
+		li = v.lines.Len() - 1
 	}
-	ln := v.lines[li]
+	ln := v.laid(li)
 	td := v.Text()
 	// Walk the segments accumulating advance until we pass p.X.
 	for _, seg := range ln.segs {
 		if seg.child != nil {
 			if p.X < seg.x+seg.w/2 {
-				return seg.start
+				return ln.start + seg.start
 			}
 			if p.X < seg.x+seg.w {
-				return seg.end
+				return ln.start + seg.end
 			}
 			continue
 		}
 		x := seg.x
-		c := td.Cursor(seg.start)
-		for pos := seg.start; pos < seg.end; pos++ {
+		c := td.Cursor(ln.start + seg.start)
+		for pos := ln.start + seg.start; pos < ln.start+seg.end; pos++ {
 			r, ok := c.Next()
 			if !ok {
 				return pos

@@ -174,14 +174,14 @@ func (v *View) controlKey(r rune) bool {
 // the x position approximately.
 func (v *View) moveVertically(down bool) {
 	li := v.lineOf(v.dot)
-	x := v.posToX(v.lines[li], v.dot)
+	x := v.posToX(v.laid(li), v.dot)
 	if down {
 		li++
 	} else {
 		li--
 	}
 	v.ensureLine(li)
-	if li < 0 || li >= len(v.lines) {
+	if li < 0 || li >= v.lines.Len() {
 		return
 	}
 	v.SetDot(v.posAtLine(li, x))
@@ -190,18 +190,18 @@ func (v *View) moveVertically(down bool) {
 
 // posAtLine maps an x coordinate within line index li to a position.
 func (v *View) posAtLine(li, x int) int {
-	ln := v.lines[li]
+	ln := v.laid(li)
 	td := v.Text()
 	for _, seg := range ln.segs {
 		if seg.child != nil {
 			if x < seg.x+seg.w/2 {
-				return seg.start
+				return ln.start + seg.start
 			}
 			continue
 		}
 		cx := seg.x
-		c := td.Cursor(seg.start)
-		for pos := seg.start; pos < seg.end; pos++ {
+		c := td.Cursor(ln.start + seg.start)
+		for pos := ln.start + seg.start; pos < ln.start+seg.end; pos++ {
 			r, ok := c.Next()
 			if !ok {
 				return pos

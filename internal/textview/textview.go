@@ -8,6 +8,7 @@ package textview
 import (
 	"strings"
 
+	"atk/internal/chunked"
 	"atk/internal/class"
 	"atk/internal/core"
 	"atk/internal/graphics"
@@ -26,20 +27,42 @@ func SetClipboard(s string) { clipboard = s }
 
 // segment is one run of same-font text (or one embedded child) on a line.
 type segment struct {
-	start, end int // rune range in the buffer
+	start, end int // rune range, relative to the line's start
 	x, w       int // horizontal placement
 	font       *graphics.Font
 	child      *text.Embedded // non-nil for an anchor segment
 }
 
-// line is one laid-out line.
+// line is one laid-out line as the line table holds it. Its rune range
+// is not stored: the table derives it from the lengths of the lines
+// before it (a line's length runs through its newline, if any), and its
+// segments are relative to its start, so an edit never rewrites the
+// lines after it.
 type line struct {
+	nl        bool // ends at a hard newline
+	h, ascent int
+	indent    int
+	segs      []segment
+}
+
+// placed is a line read from the table, with its rune range.
+type placed struct {
 	start, end int // rune range, end excludes the newline
 	nlEnd      int // end including the newline if present
-	h, ascent  int
-	indent     int
-	segs       []segment
+	line
 }
+
+// placedAt reads the line at it.
+func placedAt(it chunked.Iter[line]) placed {
+	ln := placed{start: it.Start(), end: it.End(), nlEnd: it.End(), line: it.Val()}
+	if ln.nl {
+		ln.end--
+	}
+	return ln
+}
+
+// laid returns laid line i.
+func (v *View) laid(i int) placed { return placedAt(v.lines.At(i)) }
 
 // View is the text view. Create with New, attach data with SetDataObject.
 type View struct {
@@ -51,13 +74,13 @@ type View struct {
 	mark     int // selection anchor; selection is [min(dot,mark), max)
 	dragging bool
 
-	// lines is a laid-out prefix of the document: lines[0] starts at rune
-	// 0 and consecutive lines are contiguous. When complete is false the
-	// prefix stops at a frontier and extendOne lays further lines on
-	// demand (the viewport-lazy contract; see DESIGN.md §8). layoutW is
-	// the width the prefix was laid at; dirty forces a discard before the
-	// next use.
-	lines    []line
+	// lines is a laid-out prefix of the document: the first line starts
+	// at rune 0 and consecutive lines are contiguous, so lines.Total() is
+	// the frontier. When complete is false the prefix stops there and
+	// extendOne lays further lines on demand (the viewport-lazy contract;
+	// see DESIGN.md §8). layoutW is the width the prefix was laid at;
+	// dirty forces a discard before the next use.
+	lines    chunked.Seq[line]
 	layoutW  int
 	dirty    bool
 	complete bool
@@ -168,9 +191,8 @@ func (v *View) ObservedChanged(obj core.DataObject, ch core.Change) {
 		// exactly at the old end may continue differently, so drop them and
 		// reopen the frontier instead of discarding the whole layout.
 		if !v.dirty {
-			for len(v.lines) > 0 && v.lines[len(v.lines)-1].nlEnd >= ch.Pos {
-				v.lines = v.lines[:len(v.lines)-1]
-			}
+			first := v.lines.Find(ch.Pos - 1).Index() // first line reaching ch.Pos
+			v.lines.Replace(first, v.lines.Len(), nil, nil)
 			v.complete = false
 		}
 		v.WantUpdate(v.Self())
@@ -186,9 +208,8 @@ func (v *View) ObservedChanged(obj core.DataObject, ch core.Change) {
 		return
 	}
 	if v.resyncRepair(ch) {
-		// The line table was spliced and shifted in place (or truncated
-		// at the damage); heights may have changed, so repaint the whole
-		// view, but no full relayout is ever scheduled.
+		// The line table was spliced in place; heights may have changed,
+		// so repaint the whole view, but no full relayout is scheduled.
 		v.WantUpdate(v.Self())
 		return
 	}
@@ -198,12 +219,12 @@ func (v *View) ObservedChanged(obj core.DataObject, ch core.Change) {
 
 // repairLine attempts the incremental layout repair for a confined
 // single-line insert or delete: re-lay just the edited line and, when
-// its boundaries and height are preserved, splice it into the line table
-// and shift later lines' rune ranges. It returns the local rectangle to
-// repaint and whether the repair succeeded; on failure the caller falls
-// back to full relayout with whole-bounds damage.
+// its boundaries and height are preserved, replace it in the line table
+// (later lines' positions follow from its new length). It returns the
+// local rectangle to repaint and whether the repair succeeded; on
+// failure the caller tries resyncRepair.
 func (v *View) repairLine(ch core.Change) (graphics.Rect, bool) {
-	if v.noIncremental || v.dirty || len(v.lines) == 0 || v.layoutW != v.Bounds().Dx() {
+	if v.noIncremental || v.dirty || v.lines.Len() == 0 || v.layoutW != v.Bounds().Dx() {
 		return graphics.Rect{}, false
 	}
 	d := v.Text()
@@ -225,30 +246,24 @@ func (v *View) repairLine(ch core.Change) (graphics.Rect, bool) {
 	default:
 		return graphics.Rect{}, false
 	}
-	// Locate the edited line in the pre-edit table. Lines are contiguous,
-	// so the first line whose end is at or past the edit position holds it.
-	li := -1
-	for i := range v.lines {
-		if ch.Pos <= v.lines[i].end {
-			li = i
-			break
-		}
-	}
-	// Edits at the very end of the buffer (and any edit touching the last
-	// line) can add or remove the trailing empty line, which a splice
-	// cannot express — let relayout handle the last line.
-	if li < 0 || li >= len(v.lines)-1 {
+	// Locate the edited line in the pre-edit table. Edits at the very end
+	// of the buffer (and any edit touching the last line) can add or
+	// remove the trailing empty line, which a splice cannot express — let
+	// relayout handle the last line.
+	li := v.findLine(ch.Pos)
+	if li >= v.lines.Len()-1 {
 		return graphics.Rect{}, false
 	}
-	old := v.lines[li]
+	it := v.lines.At(li)
+	old := placedAt(it)
 	if ch.Kind == "delete" && ch.Pos+ch.Length > old.end {
 		return graphics.Rect{}, false // spans the newline or the next line
 	}
 	// An edit at the start of a line that continues a wrapped previous
 	// line can re-flow that previous line; only a hard newline isolates.
 	if li > 0 {
-		prev := v.lines[li-1]
-		if prev.nlEnd == prev.end {
+		it.Prev()
+		if !it.Val().nl {
 			return graphics.Rect{}, false
 		}
 	}
@@ -269,31 +284,37 @@ func (v *View) repairLine(ch core.Change) (graphics.Rect, bool) {
 			return graphics.Rect{}, false
 		}
 	}
-	v.lines[li] = newLn
-	if delta != 0 {
-		for i := li + 1; i < len(v.lines); i++ {
-			ln := &v.lines[i]
-			ln.start += delta
-			ln.end += delta
-			ln.nlEnd += delta
-			for j := range ln.segs {
-				ln.segs[j].start += delta
-				ln.segs[j].end += delta
-			}
-		}
+	v.lines.Replace(li, li+1, []int{newLn.nlEnd - newLn.start}, []line{newLn.line})
+	y, ok := v.lineTop(li)
+	if !ok {
+		return graphics.Rect{}, true // scrolled out of the viewport
 	}
+	return graphics.XYWH(0, y, v.Bounds().Dx(), min(old.h, v.Bounds().Dy()-y)), true
+}
+
+// lineTop returns the local y of line li's top, and false when the line
+// is scrolled out of the viewport.
+func (v *View) lineTop(li int) (int, bool) {
 	if li < v.topLine {
-		return graphics.Rect{}, true // scrolled above the viewport
+		return 0, false
 	}
-	y := 2
-	for i := v.topLine; i < li; i++ {
-		y += v.lines[i].h
+	y, h := 2, v.Bounds().Dy()
+	for it := v.lines.At(v.topLine); it.Index() < li && y < h; it.Next() {
+		y += it.Val().h
 	}
-	h := v.Bounds().Dy()
-	if y >= h {
-		return graphics.Rect{}, true // scrolled below the viewport
+	return y, y < h
+}
+
+// findLine returns the index of the laid line that holds pos: the first
+// line ending past it, or ending at it without a newline (the caret after
+// a wrapped line's last rune stays on that line). It returns lines.Len()
+// when pos lies beyond the laid prefix.
+func (v *View) findLine(pos int) int {
+	it := v.lines.Find(pos - 1) // the first line reaching pos
+	if it.Ok() && it.End() == pos && it.Val().nl {
+		it.Next()
 	}
-	return graphics.XYWH(0, y, v.Bounds().Dx(), min(old.h, h-y)), true
+	return it.Index()
 }
 
 // anchorIn reports whether [start,end) contains an embed anchor rune.
@@ -339,7 +360,7 @@ func (v *View) syncLayout() {
 	}
 	d := v.Text()
 	if v.dirty || v.layoutW != w || d == nil {
-		v.lines = v.lines[:0]
+		v.lines.Reset()
 		v.complete = d == nil
 		v.layoutW = w
 		// With no data object there is nothing to lay out; stay dirty so
@@ -357,12 +378,9 @@ func (v *View) extendOne(d *text.Data, w int) bool {
 		return false
 	}
 	v.faultAhead(d)
-	pos := 0
-	if n := len(v.lines); n > 0 {
-		pos = v.lines[n-1].nlEnd
-	}
+	pos := v.lines.Total()
 	ln := v.layoutLine(d, pos, w)
-	v.lines = append(v.lines, ln)
+	v.lines.Append(ln.nlEnd-pos, ln.line)
 	switch {
 	case ln.nlEnd == pos:
 		// No progress: the empty terminal line (empty document, or the
@@ -391,18 +409,12 @@ func (v *View) faultAhead(d *text.Data) {
 	if !d.Pending() {
 		return
 	}
-	frontier := func() int {
-		if n := len(v.lines); n > 0 {
-			return v.lines[n-1].nlEnd
-		}
-		return 0
-	}
-	for d.Pending() && d.Len()-frontier() < loadHorizonRunes {
+	for d.Pending() && d.Len()-v.lines.Total() < loadHorizonRunes {
 		if d.LoadMore() != nil {
 			break
 		}
 		// The load notification may have reopened the frontier line;
-		// frontier() re-reads it each pass.
+		// the loop re-reads the frontier each pass.
 	}
 }
 
@@ -418,8 +430,8 @@ func (v *View) ensureLayout() {
 	for !v.complete {
 		v.extendOne(d, v.layoutW)
 	}
-	if v.topLine > len(v.lines)-1 {
-		v.topLine = max(0, len(v.lines)-1)
+	if v.topLine > v.lines.Len()-1 {
+		v.topLine = max(0, v.lines.Len()-1)
 	}
 }
 
@@ -433,27 +445,27 @@ func (v *View) ensureViewport() {
 		return
 	}
 	w := v.layoutW
-	for !v.complete && len(v.lines) <= v.topLine {
+	for !v.complete && v.lines.Len() <= v.topLine {
 		v.extendOne(d, w)
 	}
 	h := v.Bounds().Dy()
 	y := 2
 	i := v.topLine
 	for y < h {
-		for !v.complete && len(v.lines) <= i {
+		for !v.complete && v.lines.Len() <= i {
 			v.extendOne(d, w)
 		}
-		if i >= len(v.lines) {
+		if i >= v.lines.Len() {
 			break
 		}
-		y += v.lines[i].h
+		y += v.lines.At(i).Val().h
 		i++
 	}
-	for !v.complete && len(v.lines) < i+layoutSlackLines {
+	for !v.complete && v.lines.Len() < i+layoutSlackLines {
 		v.extendOne(d, w)
 	}
-	if v.complete && v.topLine > len(v.lines)-1 {
-		v.topLine = max(0, len(v.lines)-1)
+	if v.complete && v.topLine > v.lines.Len()-1 {
+		v.topLine = max(0, v.lines.Len()-1)
 	}
 }
 
@@ -465,7 +477,7 @@ func (v *View) ensureLine(li int) {
 	if d == nil {
 		return
 	}
-	for !v.complete && len(v.lines) <= li {
+	for !v.complete && v.lines.Len() <= li {
 		v.extendOne(d, v.layoutW)
 	}
 }
@@ -477,7 +489,7 @@ func (v *View) ensurePos(pos int) {
 	if d == nil {
 		return
 	}
-	for !v.complete && (len(v.lines) == 0 || v.lines[len(v.lines)-1].nlEnd <= pos) {
+	for !v.complete && (v.lines.Len() == 0 || v.lines.Total() <= pos) {
 		v.extendOne(d, v.layoutW)
 	}
 }
@@ -495,21 +507,18 @@ func (v *View) LayoutComplete() bool { return v.complete }
 // scratch (benchmark and debugging hook).
 func (v *View) InvalidateLayout() { v.dirty = true }
 
-// resyncRepairBudget caps how many lines a single edit relays eagerly.
-// Past it the table is truncated at the damage and the tail is re-laid
-// lazily instead.
-const resyncRepairBudget = 256
-
 // resyncRepair is the general incremental repair: relay lines from the
 // edited line's hard start until a laid line boundary coincides with a
-// pre-edit line boundary beyond the edit, then splice the new lines in
-// and shift the surviving tail's rune ranges by the edit delta. Layout
-// from a position depends only on the buffer suffix from that position,
-// so a boundary match guarantees the shifted tail is exactly what a full
-// relayout would produce. Returns false when the caller must fall back
-// to a full discard (style changes, embeds in flight, stale layout).
+// pre-edit line boundary beyond the edit (or the relay reaches the end of
+// the document or the laid frontier), then replace the relaid lines in
+// the table; the lines after them keep their layout, and their positions
+// follow from the new lengths. Layout from a position depends only on the
+// buffer suffix from that position, so a boundary match guarantees the
+// surviving tail is exactly what a full relayout would produce. Returns
+// false when the caller must fall back to a full discard (style changes,
+// embeds in flight, stale layout).
 func (v *View) resyncRepair(ch core.Change) bool {
-	if v.noIncremental || v.dirty || len(v.lines) == 0 {
+	if v.noIncremental || v.dirty || v.lines.Len() == 0 {
 		return false
 	}
 	w := v.Bounds().Dx()
@@ -540,43 +549,43 @@ func (v *View) resyncRepair(ch core.Change) bool {
 	}
 	// Locate the edited line; edits past the laid-out frontier leave the
 	// prefix untouched.
-	li := -1
-	for i := range v.lines {
-		if ch.Pos <= v.lines[i].end {
-			li = i
-			break
-		}
-	}
-	if li < 0 {
+	li := v.findLine(ch.Pos)
+	if li == v.lines.Len() {
 		return !v.complete
 	}
 	// Step back to a hard line start: wrap positions depend on content
 	// from the paragraph's hard start, so that is the safe relay point.
-	for li > 0 && v.lines[li-1].nlEnd == v.lines[li-1].end {
-		li--
+	it := v.lines.At(li)
+	for it.Index() > 0 {
+		prev := it
+		prev.Prev()
+		if prev.Val().nl {
+			break
+		}
+		it = prev
 	}
-	// Lines carrying embedded children re-measure views during layout;
-	// keep that on the lazy path (as the pre-repair code did).
+	li = it.Index()
 	oldMin := ch.Pos
 	if delta < 0 {
 		oldMin = ch.Pos + ch.Length
 	}
+	var lens []int
 	var repl []line
-	pos := v.lines[li].start
-	oi := li
+	pos := it.Start()
+	old := it // walks the pre-edit table, which stays intact until the end
 	resynced := false
 	done := false
 	for {
-		if len(repl) > resyncRepairBudget {
-			break
-		}
 		ln := v.layoutLine(d, pos, w)
+		// Lines carrying embedded children re-measure views during
+		// layout; keep that on the lazy path.
 		for _, s := range ln.segs {
 			if s.child != nil {
 				return false
 			}
 		}
-		repl = append(repl, ln)
+		lens = append(lens, ln.nlEnd-pos)
+		repl = append(repl, ln.line)
 		if ln.nlEnd == pos {
 			done = true
 		} else if ln.nlEnd == d.Len() {
@@ -597,57 +606,29 @@ func (v *View) resyncRepair(ch core.Change) bool {
 		// Resync: does this boundary coincide with a pre-edit line
 		// boundary past the edited range?
 		b := ln.nlEnd - delta
-		for oi < len(v.lines) && v.lines[oi].nlEnd < b {
-			oi++
+		for old.Ok() && old.End() < b {
+			old.Next()
 		}
-		if oi < len(v.lines) && v.lines[oi].nlEnd == b && b >= oldMin {
+		if old.Ok() && old.End() == b && b >= oldMin {
 			resynced = true
 			break
 		}
-		if oi >= len(v.lines) && !v.complete {
+		if !old.Ok() && !v.complete {
 			// Ran past the frontier of an incomplete prefix: the new
 			// lines simply become the new frontier.
 			break
 		}
 	}
-	switch {
-	case done:
-		// Relaid through the end of the document: the new lines replace
-		// everything from the damage on.
-		v.lines = append(v.lines[:li], repl...)
-		v.complete = true
-	case resynced:
-		nOld := oi + 1 - li
-		if len(repl) == nOld {
-			copy(v.lines[li:], repl)
-		} else {
-			spliced := make([]line, 0, len(v.lines)+len(repl)-nOld)
-			spliced = append(spliced, v.lines[:li]...)
-			spliced = append(spliced, repl...)
-			spliced = append(spliced, v.lines[oi+1:]...)
-			v.lines = spliced
-		}
-		if delta != 0 {
-			for i := li + len(repl); i < len(v.lines); i++ {
-				ln := &v.lines[i]
-				ln.start += delta
-				ln.end += delta
-				ln.nlEnd += delta
-				for j := range ln.segs {
-					ln.segs[j].start += delta
-					ln.segs[j].end += delta
-				}
-			}
-		}
-	default:
-		// Budget exhausted (or frontier reached): keep the repaired
-		// prefix, drop the stale tail, and let lazy extension re-lay it
-		// on demand.
-		v.lines = append(v.lines[:li], repl...)
-		v.complete = false
+	if resynced {
+		v.lines.Replace(li, old.Index()+1, lens, repl)
+	} else {
+		// Relaid through the end of the document, or to the frontier: the
+		// new lines replace everything from the damage on.
+		v.lines.Replace(li, v.lines.Len(), lens, repl)
+		v.complete = v.complete || done
 	}
-	if v.complete && v.topLine > len(v.lines)-1 {
-		v.topLine = max(0, len(v.lines)-1)
+	if v.complete && v.topLine > v.lines.Len()-1 {
+		v.topLine = max(0, v.lines.Len()-1)
 	}
 	return true
 }
@@ -656,9 +637,9 @@ func (v *View) resyncRepair(ch core.Change) bool {
 // a single rune cursor and a single cached style span — one O(log k)
 // seek and then amortized O(1) per rune, instead of the O(pieces) RuneAt
 // and O(runs) StyleSpan per rune of the original.
-func (v *View) layoutLine(d *text.Data, pos, width int) line {
+func (v *View) layoutLine(d *text.Data, pos, width int) placed {
 	styleDef := d.Styles().Lookup(d.StyleAt(pos))
-	ln := line{start: pos, indent: styleDef.Indent}
+	ln := placed{start: pos, line: line{indent: styleDef.Indent}}
 	x := styleDef.Indent
 	lastBreak := -1
 	cur := pos
@@ -668,7 +649,7 @@ func (v *View) layoutLine(d *text.Data, pos, width int) line {
 	flushSeg := func(segStart, segEnd int, f *graphics.Font, startX int) {
 		if segEnd > segStart {
 			ln.segs = append(ln.segs, segment{
-				start: segStart, end: segEnd, x: startX,
+				start: segStart - pos, end: segEnd - pos, x: startX,
 				w: 0, font: f,
 			})
 		}
@@ -703,7 +684,8 @@ func (v *View) layoutLine(d *text.Data, pos, width int) line {
 			flushSeg(segStart, cur, segFont, segStartX)
 			ln.end = cur
 			ln.nlEnd = cur + 1
-			v.growLine(&ln, segFont)
+			ln.nl = true
+			v.growLine(&ln.line, segFont)
 			return ln
 		}
 		if r == text.AnchorRune {
@@ -712,7 +694,7 @@ func (v *View) layoutLine(d *text.Data, pos, width int) line {
 			e := d.EmbeddedAt(cur)
 			flushSeg(segStart, cur, segFont, segStartX)
 			cw, chh := v.childSize(e, width-x)
-			ln.segs = append(ln.segs, segment{start: cur, end: cur + 1, x: x, w: cw, child: e})
+			ln.segs = append(ln.segs, segment{start: cur - pos, end: cur + 1 - pos, x: x, w: cw, child: e})
 			if chh > ln.h {
 				ln.ascent += chh - ln.h
 				ln.h = chh
@@ -728,13 +710,13 @@ func (v *View) layoutLine(d *text.Data, pos, width int) line {
 			// Wrap: prefer the last space.
 			if lastBreak > ln.start {
 				flushSeg(segStart, lastBreak, segFont, segStartX)
-				trimTrailing(&ln, lastBreak)
+				trimTrailing(&ln.line, lastBreak-pos)
 				ln.end, ln.nlEnd = lastBreak, lastBreak
 			} else {
 				flushSeg(segStart, cur, segFont, segStartX)
 				ln.end, ln.nlEnd = cur, cur
 			}
-			v.growLine(&ln, segFont)
+			v.growLine(&ln.line, segFont)
 			return ln
 		}
 		if r == ' ' || r == '\t' {
@@ -749,12 +731,13 @@ func (v *View) layoutLine(d *text.Data, pos, width int) line {
 	}
 	flushSeg(segStart, cur, segFont, segStartX)
 	ln.end, ln.nlEnd = cur, cur
-	v.growLine(&ln, segFont)
+	v.growLine(&ln.line, segFont)
 	return ln
 }
 
 func trimTrailing(ln *line, brk int) {
-	// Drop segments (or parts) past the break point.
+	// Drop segments (or parts) past the break point (relative to the
+	// line's start, like the segments).
 	out := ln.segs[:0]
 	for _, s := range ln.segs {
 		if s.start >= brk {
@@ -828,7 +811,7 @@ func (v *View) childView(e *text.Embedded) core.View {
 // DESIGN.md §8). Paint-path code never calls it.
 func (v *View) Lines() int {
 	v.ensureLayout()
-	return len(v.lines)
+	return v.lines.Len()
 }
 
 // SetBounds implements core.View.
@@ -851,8 +834,8 @@ func (v *View) DesiredSize(wHint, hHint int) (int, int) {
 	v.dirty = true
 	v.ensureLayout()
 	h := 0
-	for _, ln := range v.lines {
-		h += ln.h
+	for it := v.lines.At(0); it.Ok(); it.Next() {
+		h += it.Val().h
 	}
 	v.BaseView.SetBounds(save)
 	v.dirty = true
@@ -867,8 +850,8 @@ func (v *View) visibleLines() int {
 	v.ensureViewport()
 	h := v.Bounds().Dy()
 	n := 0
-	for i := v.topLine; i < len(v.lines) && h > 0; i++ {
-		h -= v.lines[i].h
+	for it := v.lines.At(v.topLine); it.Ok() && h > 0; it.Next() {
+		h -= it.Val().h
 		if h >= 0 {
 			n++
 		}
@@ -886,10 +869,10 @@ func (v *View) visibleLines() int {
 func (v *View) ScrollInfo() (total, top, visible int) {
 	if d := v.Text(); d != nil && d.Pending() {
 		vis := v.visibleLines()
-		return len(v.lines) + d.PendingLines(), v.topLine, vis
+		return v.lines.Len() + d.PendingLines(), v.topLine, vis
 	}
 	v.ensureLayout()
-	return len(v.lines), v.topLine, v.visibleLines()
+	return v.lines.Len(), v.topLine, v.visibleLines()
 }
 
 // ScrollTo implements widgets.Scrollee. Scrolling a streamed document
@@ -900,8 +883,8 @@ func (v *View) ScrollTo(top int) {
 	} else {
 		v.ensureLayout()
 	}
-	if top > len(v.lines)-1 {
-		top = len(v.lines) - 1
+	if top > v.lines.Len()-1 {
+		top = v.lines.Len() - 1
 	}
 	if top < 0 {
 		top = 0
@@ -916,18 +899,10 @@ func (v *View) ScrollTo(top int) {
 // the lazy layout just far enough to cover it.
 func (v *View) lineOf(pos int) int {
 	v.ensurePos(pos)
-	for i, ln := range v.lines {
-		if pos >= ln.start && pos < ln.nlEnd {
-			return i
-		}
-		if pos == ln.end && ln.nlEnd == ln.end { // end of unwrapped last line
-			return i
-		}
+	if li := v.findLine(pos); li < v.lines.Len() {
+		return li
 	}
-	if n := len(v.lines); n > 0 {
-		return n - 1
-	}
-	return 0
+	return max(0, v.lines.Len()-1)
 }
 
 // RevealDot scrolls so the caret is visible.

@@ -74,7 +74,8 @@ func TestLayoutWraps(t *testing.T) {
 		t.Fatalf("long text did not wrap: %d lines", v.Lines())
 	}
 	// Every line must fit the width.
-	for _, ln := range v.lines {
+	for i := range v.lines.Len() {
+		ln := v.laid(i)
 		x := v.posToX(ln, ln.end)
 		if x > 120 {
 			t.Fatalf("line overflows: x=%d", x)
@@ -103,8 +104,8 @@ func TestStyledLayoutUsesFonts(t *testing.T) {
 	v, d := newView(t, "small\nbig", 300, 100)
 	_ = d.SetStyle(6, 9, "title")
 	v.ensureLayout()
-	if v.lines[1].h <= v.lines[0].h {
-		t.Fatalf("title line not taller: %d vs %d", v.lines[1].h, v.lines[0].h)
+	if v.laid(1).h <= v.laid(0).h {
+		t.Fatalf("title line not taller: %d vs %d", v.laid(1).h, v.laid(0).h)
 	}
 }
 

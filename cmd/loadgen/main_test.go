@@ -74,8 +74,9 @@ func TestRunAgainstLiveServer(t *testing.T) {
 		t.Fatalf("session errors during run: %+v\nlog:\n%s", last, log.String())
 	}
 	// The server side agrees work happened and saw no protocol abuse.
-	// (SlowConsumerKicks is legitimately nonzero: a churner hanging up
-	// mid-fan-out looks like a slow consumer to the server.)
+	// (SlowConsumerKicks is not checked: a churner hanging up mid-fan-out
+	// no longer counts as one, but a reader that falls a whole queue
+	// behind, or whose write times out, still may under load.)
 	st := h.Stats()
 	if st.OpsApplied == 0 || st.ProtocolErrors != 0 {
 		t.Fatalf("server stats: %+v", st)

@@ -29,6 +29,13 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add("\\begindata{text,1}\n\\begindata{table,2}\ndims 2 2\n\\enddata{table,2}\n\\view{tableview,2}\ntail\n\\enddata{text,1}\n")
 	f.Add("\\begindata{mystery,7}\nopaque payload\n\\enddata{mystery,7}\n")
 	f.Add("\\begindata{text,1}\ncut off")
+	// The escape scheme end to end: non-ASCII runes, tabs, backslash
+	// runs, and a logical line over 79 columns split by a continuation.
+	f.Add("\\begindata{text,1}\n" +
+		"caf\\ue9; \\u3c6; \\u1d518;\ttabs\tand \\\\\\\\\\\\ backslash runs\n" +
+		"a logical line longer than 79 columns, wrapped with a continuation \\\n" +
+		"backslash onto a second physical line\n" +
+		"\\enddata{text,1}\n")
 
 	reg, err := components.StandardRegistry()
 	if err != nil {

@@ -254,6 +254,7 @@ func TestReaderSyntaxErrors(t *testing.T) {
 		"\\begindata{text}\n",    // missing id
 		"\\begindata{text,xx}\n", // bad id
 		"\\begindata{text,1\n",   // missing brace
+		"\\view{bad type!,2}\n",  // bad type name
 		"\\unknown{x,1}\n",       // unknown escape at start of payload
 		"text with bad \\q escape\n",
 		"\\u12",               // unterminated escape (no newline)

@@ -3,119 +3,78 @@ package datastream
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
 // The payload-line discipline — printable 7-bit ASCII plus tab, backslash
 // escapes for everything else, continuation-wrapped under MaxLine — is
-// exported here so other on-disk formats (the persist package's edit
-// journal) can frame arbitrary text with the exact same rules the external
-// representation uses.
+// exported here so other on-disk and wire formats (the persist package's
+// record files, docserve frames) frame arbitrary text with the exact same
+// rules the external representation uses. There is one encoder
+// (appendEscaped) and one decoder (decodeAppend); every writer and reader
+// of the discipline goes through them.
 
-// EscapeLines renders one logical line of arbitrary text as physical lines
-// under the payload-line discipline: every rune outside printable ASCII is
-// \uHEX;-escaped, literal backslashes doubled, and the result wrapped with
-// continuation backslashes so no physical line exceeds MaxLine. Every
-// returned line but the last ends with the continuation backslash; none
-// carries a trailing newline. s must be a single logical line (no '\n').
-func EscapeLines(s string) []string {
-	var lines []string
-	var b strings.Builder
-	col := 0
-	emit := func(tok string) {
-		if col+len(tok) > MaxLine-1 { // leave room for a continuation '\'
-			b.WriteByte('\\')
-			lines = append(lines, b.String())
-			b.Reset()
-			col = 0
-		}
-		b.WriteString(tok)
-		col += len(tok)
-	}
-	for _, r := range s {
-		switch {
-		case r == '\\':
-			emit(`\\`)
-		case r == '\t' || (r >= 32 && r <= 126):
-			emit(string(r))
-		default:
-			emit(fmt.Sprintf(`\u%x;`, r))
-		}
-	}
-	return append(lines, b.String())
-}
+// AppendEscaped appends the wire form of the logical line s to dst: every
+// rune outside printable ASCII (newlines included) \uHEX;-escaped, literal
+// backslashes doubled, and the result wrapped into physical lines of at
+// most MaxLine columns. Each physical line ends with '\n', and every one
+// but the last carries a continuation backslash before it.
+func AppendEscaped(dst []byte, s string) []byte { return appendEscaped(dst, s) }
 
-// DecodeLine decodes one physical payload line into b, undoing the escape
-// scheme. It reports cont=true when the line ended with a continuation
-// backslash, meaning the logical line continues on the next physical line.
-func DecodeLine(b *strings.Builder, line string) (cont bool, err error) {
-	return decodeInto(b, line)
-}
+// AppendEscapedBytes is AppendEscaped for a []byte logical line.
+func AppendEscapedBytes(dst, s []byte) []byte { return appendEscaped(dst, s) }
 
-// AppendEscaped appends the wire form of the logical line s to dst: the
-// exact physical lines EscapeLines produces, each terminated by '\n' (so
-// every line but the last carries its continuation backslash before the
-// newline). It exists for hot paths — a replication fan-out, the edit
-// journal — that would otherwise pay a []string and a join per record;
-// the output is byte-identical to joining EscapeLines with newlines.
-func AppendEscaped(dst []byte, s string) []byte {
-	col := 0
-	var tokBuf [12]byte
-	for _, r := range s {
-		tok := tokBuf[:0]
-		switch {
-		case r == '\\':
-			tok = append(tok, '\\', '\\')
-		case r == '\t' || (r >= 32 && r <= 126):
-			tok = append(tok, byte(r))
-		default:
-			tok = append(tok, '\\', 'u')
-			tok = strconv.AppendInt(tok, int64(r), 16)
-			tok = append(tok, ';')
+// appendEscaped is the escape encoder. It walks bytes and decodes a rune
+// only where one starts outside ASCII, so neither instantiation copies s
+// and escaping allocates nothing beyond dst's growth. (Ranging over
+// string(s) would copy any []byte line longer than 32 bytes.)
+func appendEscaped[S string | []byte](dst []byte, s S) []byte {
+	col := 0 // columns used on the current physical line
+	var tok [12]byte
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c != '\\' && (c == '\t' || c >= ' ' && c <= '~') {
+			if col == MaxLine-1 { // leave room for a continuation '\'
+				dst = append(dst, '\\', '\n')
+				col = 0
+			}
+			dst = append(dst, c)
+			col++
+			i++
+			continue
 		}
-		if col+len(tok) > MaxLine-1 { // leave room for a continuation '\'
+		t, r, n := tok[:0], rune(c), 1
+		if c == '\\' {
+			t = append(t, '\\', '\\')
+		} else {
+			if c >= utf8.RuneSelf {
+				r, n = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+			}
+			t = append(strconv.AppendInt(append(t, '\\', 'u'), int64(r), 16), ';')
+		}
+		if col+len(t) > MaxLine-1 {
 			dst = append(dst, '\\', '\n')
 			col = 0
 		}
-		dst = append(dst, tok...)
-		col += len(tok)
-	}
-	return append(dst, '\n')
-}
-
-// AppendEscapedBytes is AppendEscaped for a []byte logical line (the
-// range-over-string conversion below does not allocate).
-func AppendEscapedBytes(dst, s []byte) []byte {
-	col := 0
-	var tokBuf [12]byte
-	for _, r := range string(s) {
-		tok := tokBuf[:0]
-		switch {
-		case r == '\\':
-			tok = append(tok, '\\', '\\')
-		case r == '\t' || (r >= 32 && r <= 126):
-			tok = append(tok, byte(r))
-		default:
-			tok = append(tok, '\\', 'u')
-			tok = strconv.AppendInt(tok, int64(r), 16)
-			tok = append(tok, ';')
-		}
-		if col+len(tok) > MaxLine-1 {
-			dst = append(dst, '\\', '\n')
-			col = 0
-		}
-		dst = append(dst, tok...)
-		col += len(tok)
+		dst = append(dst, t...)
+		col += len(t)
+		i += n
 	}
 	return append(dst, '\n')
 }
 
 // DecodeAppend decodes one physical payload line (without its newline)
-// onto dst, undoing the escape scheme — the allocation-free counterpart
-// of DecodeLine for readers that reuse a scratch buffer across frames.
-// cont reports a trailing continuation backslash.
+// onto dst, undoing the escape scheme. cont reports a trailing
+// continuation backslash: the logical line goes on in the next physical
+// line. A \u escape must hold one or more hex digits (no sign) naming a
+// value below 2^31; anything else is an error.
 func DecodeAppend(dst, line []byte) (out []byte, cont bool, err error) {
+	return decodeAppend(dst, line)
+}
+
+// decodeAppend is the escape decoder behind DecodeAppend and the
+// document Reader, which holds its physical lines as strings.
+func decodeAppend[S string | []byte](dst []byte, line S) (out []byte, cont bool, err error) {
 	i := 0
 	for i < len(line) {
 		c := line[i]

@@ -138,6 +138,8 @@ type Reader struct {
 	// recovery; they are delivered (and the stack popped) before any new
 	// input is read.
 	synth []Token
+	// dec is the payload decode buffer, reused across text tokens.
+	dec []byte
 }
 
 // NewReader returns a strict Reader with default limits consuming r.
@@ -257,31 +259,25 @@ func (r *Reader) next() (Token, error) {
 			return Token{}, err
 		}
 		startLine := r.line
-		switch {
-		case strings.HasPrefix(raw, `\begindata{`):
-			typ, id, perr := parseMarker(raw, `\begindata{`)
-			if perr != nil {
-				if r.mode == Lenient {
-					r.AddDiagnostic(startLine, "malformed begindata marker dropped: %v", perr)
-					continue
-				}
-				return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, startLine, perr)
+		t, perr := ParseMarker(raw)
+		if perr != nil {
+			if r.mode == Lenient {
+				r.AddDiagnostic(startLine, "malformed %s marker dropped: %v", t.Kind, perr)
+				continue
 			}
+			return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, startLine, perr)
+		}
+		t.Line = startLine
+		switch t.Kind {
+		case TokBegin:
 			if len(r.stack) >= r.limits.MaxDepth {
 				return Token{}, fmt.Errorf("%w: nesting deeper than %d (line %d)",
 					ErrLimit, r.limits.MaxDepth, startLine)
 			}
-			r.stack = append(r.stack, openObj{typ, id})
-			return Token{Kind: TokBegin, Type: typ, ID: id, Line: startLine}, nil
-		case strings.HasPrefix(raw, `\enddata{`):
-			typ, id, perr := parseMarker(raw, `\enddata{`)
-			if perr != nil {
-				if r.mode == Lenient {
-					r.AddDiagnostic(startLine, "malformed enddata marker dropped: %v", perr)
-					continue
-				}
-				return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, startLine, perr)
-			}
+			r.stack = append(r.stack, openObj{t.Type, t.ID})
+			return t, nil
+		case TokEnd:
+			typ, id := t.Type, t.ID
 			if len(r.stack) == 0 {
 				if r.mode == Lenient {
 					r.AddDiagnostic(startLine, "enddata{%s,%d} with nothing open; dropped", typ, id)
@@ -313,31 +309,25 @@ func (r *Reader) next() (Token, error) {
 						r.AddDiagnostic(startLine, "enddata{%s,%d} implicitly closes %s,%d", typ, id, o.typ, o.id)
 						r.synth = append(r.synth, Token{Kind: TokEnd, Type: o.typ, ID: o.id, Line: startLine})
 					}
-					r.synth = append(r.synth, Token{Kind: TokEnd, Type: typ, ID: id, Line: startLine})
+					r.synth = append(r.synth, t)
 					continue
 				}
 				return Token{}, fmt.Errorf("%w: enddata{%s,%d} closes begindata{%s,%d} (line %d)",
 					ErrBadNesting, typ, id, top.typ, top.id, startLine)
 			}
 			r.stack = r.stack[:len(r.stack)-1]
-			return Token{Kind: TokEnd, Type: typ, ID: id, Line: startLine}, nil
-		case strings.HasPrefix(raw, `\view{`):
-			typ, id, perr := parseMarker(raw, `\view{`)
-			if perr != nil {
-				if r.mode == Lenient {
-					r.AddDiagnostic(startLine, "malformed view marker dropped: %v", perr)
-					continue
-				}
-				return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, startLine, perr)
-			}
-			return Token{Kind: TokView, Type: typ, ID: id, Line: startLine}, nil
+			return t, nil
+		case TokView:
+			return t, nil
 		}
 		// Payload text: decode escapes, joining continuation lines.
-		var b strings.Builder
+		r.dec = r.dec[:0]
 		line := raw
 		dropped := false
 		for {
-			cont, derr := decodeInto(&b, line)
+			var cont bool
+			var derr error
+			r.dec, cont, derr = decodeAppend(r.dec, line)
 			if derr != nil {
 				if r.mode == Lenient {
 					r.AddDiagnostic(r.line, "undecodable payload line dropped: %v", derr)
@@ -346,7 +336,7 @@ func (r *Reader) next() (Token, error) {
 				}
 				return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, r.line, derr)
 			}
-			if r.payload+b.Len() > r.limits.MaxPayloadBytes {
+			if r.payload+len(r.dec) > r.limits.MaxPayloadBytes {
 				return Token{}, fmt.Errorf("%w: payload exceeds %d bytes (line %d)",
 					ErrLimit, r.limits.MaxPayloadBytes, r.line)
 			}
@@ -370,8 +360,8 @@ func (r *Reader) next() (Token, error) {
 		if dropped {
 			continue
 		}
-		r.payload += b.Len()
-		return Token{Kind: TokText, Text: b.String(), Line: startLine}, nil
+		r.payload += len(r.dec)
+		return Token{Kind: TokText, Text: string(r.dec), Line: startLine}, nil
 	}
 }
 
@@ -401,63 +391,51 @@ func (r *Reader) readPhysical() (string, error) {
 	}
 }
 
-// decodeInto decodes one physical payload line into b. It returns
-// cont=true when the line ended with a continuation backslash.
-func decodeInto(b *strings.Builder, line string) (cont bool, err error) {
-	i := 0
-	for i < len(line) {
-		c := line[i]
-		if c != '\\' {
-			b.WriteByte(c)
-			i++
-			continue
-		}
-		if i == len(line)-1 {
-			return true, nil // continuation
-		}
-		switch line[i+1] {
-		case '\\':
-			b.WriteByte('\\')
-			i += 2
-		case 'u':
-			j := strings.IndexByte(line[i+2:], ';')
-			if j < 0 {
-				return false, fmt.Errorf("unterminated \\u escape")
-			}
-			code, perr := strconv.ParseInt(line[i+2:i+2+j], 16, 32)
-			if perr != nil {
-				return false, fmt.Errorf("bad \\u escape %q", line[i:i+2+j+1])
-			}
-			b.WriteRune(rune(code))
-			i += 2 + j + 1
-		default:
-			return false, fmt.Errorf("unknown escape \\%c", line[i+1])
-		}
-	}
-	return false, nil
+// markerPrefixes maps each marker's line prefix to its token kind.
+var markerPrefixes = [...]struct {
+	prefix string
+	kind   TokenKind
+}{
+	{`\begindata{`, TokBegin},
+	{`\enddata{`, TokEnd},
+	{`\view{`, TokView},
 }
 
-// parseMarker parses `PREFIXtype,id}` given the prefix including '{'.
-func parseMarker(line, prefix string) (typ string, id int, err error) {
-	body := line[len(prefix):]
-	if !strings.HasSuffix(body, "}") {
-		return "", 0, fmt.Errorf("missing closing brace in %q", line)
+// ParseMarker parses one physical line as a marker — \begindata{type,id},
+// \enddata{type,id} or \view{type,id} — returning its token without a
+// Line. Any other line is payload (it can never begin with a marker
+// prefix, since every literal backslash is doubled) and yields a TokText
+// token with no Text: decoding it is the caller's business. A line with
+// a marker prefix but a malformed body is an error, reported with the
+// marker's kind.
+func ParseMarker(line string) (Token, error) {
+	for _, m := range markerPrefixes {
+		if !strings.HasPrefix(line, m.prefix) {
+			continue
+		}
+		t := Token{Kind: m.kind}
+		body := line[len(m.prefix):]
+		if !strings.HasSuffix(body, "}") {
+			return t, fmt.Errorf("missing closing brace in %q", line)
+		}
+		body = body[:len(body)-1]
+		comma := strings.LastIndexByte(body, ',')
+		if comma < 0 {
+			return t, fmt.Errorf("missing comma in %q", line)
+		}
+		t.Type = strings.TrimSpace(body[:comma])
+		if err := checkTypeName(t.Type); err != nil {
+			return t, err
+		}
+		idStr := strings.TrimSpace(body[comma+1:])
+		id, err := strconv.Atoi(idStr)
+		if err != nil {
+			return t, fmt.Errorf("bad id %q", idStr)
+		}
+		t.ID = id
+		return t, nil
 	}
-	body = body[:len(body)-1]
-	comma := strings.LastIndexByte(body, ',')
-	if comma < 0 {
-		return "", 0, fmt.Errorf("missing comma in %q", line)
-	}
-	typ = strings.TrimSpace(body[:comma])
-	idStr := strings.TrimSpace(body[comma+1:])
-	if err := checkTypeName(typ); err != nil {
-		return "", 0, err
-	}
-	id, err = strconv.Atoi(idStr)
-	if err != nil {
-		return "", 0, fmt.Errorf("bad id %q", idStr)
-	}
-	return typ, id, nil
+	return Token{Kind: TokText}, nil
 }
 
 // SkipObject consumes tokens until the object opened by the given begin

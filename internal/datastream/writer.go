@@ -53,6 +53,7 @@ type Writer struct {
 	nextID int
 	stack  []openObj
 	err    error
+	line   []byte // WriteText's escape buffer, reused across lines
 }
 
 type openObj struct {
@@ -147,28 +148,16 @@ func (w *Writer) WriteText(s string) error {
 	if w.err != nil {
 		return w.err
 	}
-	for _, seg := range strings.Split(s, "\n") {
-		w.writeSegment(seg)
-		if w.err != nil {
-			return w.err
+	for {
+		line, rest, more := strings.Cut(s, "\n")
+		w.line = AppendEscaped(w.line[:0], line)
+		if _, err := w.bw.Write(w.line); err != nil {
+			return w.keep(err)
 		}
-	}
-	return w.err
-}
-
-// writeSegment emits one logical line, escaped and wrapped with
-// continuation backslashes as needed (the shared line discipline of
-// EscapeLines).
-func (w *Writer) writeSegment(seg string) {
-	for _, line := range EscapeLines(seg) {
-		if _, err := w.bw.WriteString(line); err != nil {
-			w.keep(err)
-			return
+		if !more {
+			return nil
 		}
-		if err := w.bw.WriteByte('\n'); err != nil {
-			w.keep(err)
-			return
-		}
+		s = rest
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // Encode-once fan-out. A committed op used to be re-escaped by every
-// session's write loop — O(sessions) EscapeLines calls and string garbage
-// per commit. Now the host encodes each outbound frame to wire bytes
-// exactly once, into a reference-counted pooled buffer; sessions enqueue
-// the shared buffer and their write loops copy bytes to the socket.
+// session's write loop — O(sessions) escapes and string garbage per
+// commit. Now the host encodes each outbound frame to wire bytes exactly
+// once, into a reference-counted pooled buffer; sessions enqueue the
+// shared buffer and their write loops copy bytes to the socket.
 //
 // Lifetime rules:
 //   - getFrame returns a buffer with one reference (the creator's).

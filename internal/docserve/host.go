@@ -47,12 +47,6 @@ type HostOptions struct {
 	// Defaults to (and is clamped to) the protocol frame limit less header
 	// room.
 	MaxSnapshotBytes int
-	// MaxDocBytes, when positive, bounds the served document's encoded
-	// size outright: a commit that would push the encoding past it is
-	// rejected with a "document full" error naming this limit. Zero means
-	// unlimited — chunked snapshots mean a large document can always be
-	// joined and resynced, so no ceiling is required for correctness.
-	MaxDocBytes int
 	// DrainRetryAfter is the retry-after hint a graceful drain's bye frame
 	// carries: clients should not redial sooner. Default 1s.
 	DrainRetryAfter time.Duration
@@ -198,17 +192,6 @@ type Host struct {
 	// fsys is where the host-state sidecar goes on drain; set by
 	// OpenHostFile, nil for memory-only hosts.
 	fsys persist.FS
-	// encUpper over-estimates len(EncodeDocument(doc)); refreshed exactly
-	// whenever a commit or attach needs the truth. Guards the MaxDocBytes
-	// retention limit without re-encoding the document on every commit.
-	encUpper int
-	// exactOK/exactSeq/exactSize memoize the last exact encode: while the
-	// seq has not moved, the document has not changed (every mutation is a
-	// seq-bumping commit), so a run of rejected borderline commits pays
-	// for one re-encode, not one each.
-	exactOK   bool
-	exactSeq  uint64
-	exactSize int
 	// snapFrames caches the encoded snapr frames for the state at snapSeq,
 	// so a burst of joins costs one document encode, not one per session.
 	snapFrames []*frameBuf
@@ -244,7 +227,7 @@ type Host struct {
 // NewHost wraps doc (which the host now owns: nothing else may mutate it)
 // as a served document with no backing file.
 func NewHost(name string, doc *text.Data, opts HostOptions) *Host {
-	h := &Host{
+	return &Host{
 		name:     name,
 		opts:     opts.withDefaults(),
 		epoch:    rand.Uint64() | 1, // never zero, never reused across restarts in practice
@@ -253,11 +236,6 @@ func NewHost(name string, doc *text.Data, opts HostOptions) *Host {
 		sessions: map[*session]struct{}{},
 		clients:  map[string]*clientState{},
 	}
-	// Pessimistic until the first exact encode (first attach or first
-	// guarded commit recomputes). Only meaningful under a MaxDocBytes
-	// retention limit; with no limit the guard never consults it.
-	h.encUpper = h.opts.MaxDocBytes
-	return h
 }
 
 // OpenHostFile opens (creating if absent) the document at path through the
@@ -435,37 +413,6 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 	}
 	group, _ = ops.XformDual(group, bridge, true)
 
-	// Snapshot size no longer bounds the document (big snapshots stream
-	// as range frames), so a commit is rejected only when it would cross
-	// an actual retention limit: the operator-set MaxDocBytes ceiling.
-	// encUpper is a cheap running over-estimate; only a group that would
-	// cross the limit pays for an exact re-encode.
-	if h.opts.MaxDocBytes > 0 {
-		growth := 0
-		for _, op := range group {
-			growth += ops.Growth(op)
-		}
-		if h.encUpper+growth > h.opts.MaxDocBytes {
-			// The over-estimate says the limit is at risk; fall back to the
-			// exact size, re-encoding only if the seq has moved since the last
-			// exact measurement (the document cannot change without a commit
-			// bumping the seq, so a run of rejected borderline groups costs
-			// one encode, not one each).
-			if !h.exactOK || h.exactSeq != h.seq {
-				if b, err := persist.EncodeDocument(h.doc); err == nil {
-					h.exactOK, h.exactSeq, h.exactSize = true, h.seq, len(b)
-				}
-			}
-			if h.exactOK && h.exactSeq == h.seq {
-				h.encUpper = h.exactSize
-			}
-			if h.encUpper+growth > h.opts.MaxDocBytes {
-				h.failLocked(s, fmt.Sprintf("document full: commit would push the encoded document past the %d-byte retention limit (MaxDocBytes)", h.opts.MaxDocBytes))
-				return
-			}
-		}
-	}
-
 	// Apply, journal, and coalesce the whole group into one outbound wire
 	// buffer. The originator is excluded from its own ops' fan-out (it
 	// learns of them via the ack), so the shared frame's audience is the
@@ -488,7 +435,6 @@ func (h *Host) commitGroup(s *session, g opGroupMsg) {
 		}
 		h.seq++
 		n++
-		h.encUpper += ops.Growth(op)
 		switch op.Kind {
 		case ops.KindText:
 			groupHasText = true

@@ -12,11 +12,12 @@ import (
 )
 
 // Wire protocol. Every message is one logical line framed with the
-// datastream payload-line discipline (EscapeLines/DecodeLine): printable
-// 7-bit ASCII, backslash escapes for everything else — newlines included —
-// and continuation-wrapped physical lines. The same rules that let a
-// document travel through mail (paper §5) let it travel through a socket,
-// and let a whole document snapshot ride inside a single logical line.
+// datastream payload-line discipline (AppendEscaped/DecodeAppend):
+// printable 7-bit ASCII, backslash escapes for everything else — newlines
+// included — and continuation-wrapped physical lines. The same rules that
+// let a document travel through mail (paper §5) let it travel through a
+// socket, and let a whole document snapshot ride inside a single logical
+// line.
 //
 // Client -> server:
 //

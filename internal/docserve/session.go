@@ -2,8 +2,10 @@ package docserve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -181,15 +183,12 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 	h.frameLineLocked(live, appendLive(h.lineScratch(), seq0))
 	s.catchup = append(s.catchup, live)
 	if h.seq == seq0 {
-		// Still current: publish to the snapshot cache and refresh the
-		// size accounting with the exact truth.
+		// Still current: publish to the snapshot cache.
 		releaseFrames(h.snapFrames)
 		for _, fb := range frames {
 			fb.retain()
 		}
 		h.snapFrames, h.snapSeq = frames, seq0
-		h.encUpper = len(b)
-		h.exactOK, h.exactSeq, h.exactSize = true, seq0, len(b)
 	}
 	return s, nil
 }
@@ -329,8 +328,7 @@ func (s *session) writeLoop() {
 			stamps[n] = f.t
 			n++
 			if err != nil {
-				s.kill("write: "+err.Error(), true)
-				return false
+				return s.writeFailed(err)
 			}
 			if !pull || n == maxWriteBatch {
 				break
@@ -343,8 +341,7 @@ func (s *session) writeLoop() {
 		}
 	flush:
 		if err := bw.Flush(); err != nil {
-			s.kill("write: "+err.Error(), true)
-			return false
+			return s.writeFailed(err)
 		}
 		now := time.Now()
 		for i := 0; i < n; i++ {
@@ -383,6 +380,16 @@ func (s *session) writeLoop() {
 			return
 		}
 	}
+}
+
+// writeFailed ends the session after a failed write and reports false.
+// The connection is unusable either way, so it is cut on the spot, but
+// only a write that timed out marks a slow consumer: a peer that hung up
+// mid-frame is not one.
+func (s *session) writeFailed(err error) bool {
+	s.kill("write: "+err.Error(), errors.Is(err, os.ErrDeadlineExceeded))
+	_ = s.conn.Close()
+	return false
 }
 
 // drainAndClose makes a best effort to put already-queued frames — the

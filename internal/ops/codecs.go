@@ -53,7 +53,6 @@ func textCodec() *Codec {
 				return Footprint{} // style and reset move no positions
 			}
 		},
-		Growth: func(op Op) int { return textGrowth(op.Text) },
 	}
 }
 
@@ -71,25 +70,6 @@ func runeCount(s string) int {
 		n++
 	}
 	return n
-}
-
-// textGrowth over-estimates how many bytes applying rec can add to the
-// encoded document: inserted text re-encodes at worst 6x (backslash-run
-// escapes) plus wrapping overhead; a style record adds run lines and
-// possibly style defs; deletes only shrink.
-func textGrowth(rec text.EditRecord) int {
-	switch rec.Kind {
-	case text.RecInsert:
-		return 6*len(rec.Text) + 16
-	case text.RecStyle:
-		n := 64 // textstyles begin/end markers
-		for _, r := range rec.Runs {
-			n += 48 + 2*len(r.Style) // "run a b style" line + possible def line
-		}
-		return n
-	default:
-		return 0
-	}
 }
 
 // --- table -------------------------------------------------------------
@@ -156,16 +136,6 @@ func tableCodec() *Codec {
 		Footprint: func(Op) Footprint {
 			return Footprint{} // table ops mutate state behind an anchor
 		},
-		Growth: func(op Op) int {
-			switch op.Table.Op.Kind {
-			case table.OpCellSet:
-				return 6*len(op.Table.Op.Cell.Str) + 48
-			case table.OpRowInsert, table.OpColInsert:
-				return 32 // empty cells encode nothing; dims line may widen
-			default:
-				return 0
-			}
-		},
 	}
 }
 
@@ -231,9 +201,6 @@ func embedCodec() *Codec {
 		},
 		Footprint: func(op Op) Footprint {
 			return Footprint{Pos: op.Embed.Pos, Ins: 1} // one anchor rune
-		},
-		Growth: func(op Op) int {
-			return len(op.Embed.Payload) + len(op.Embed.ViewName) + 32
 		},
 	}
 }

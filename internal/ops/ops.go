@@ -126,9 +126,6 @@ type Codec struct {
 	Shift func(a Op, f Footprint, aLater bool) []Op
 	// Footprint reports how op splices the rune sequence.
 	Footprint func(op Op) Footprint
-	// Growth over-estimates how many bytes applying op can add to the
-	// document's encoded external representation.
-	Growth func(op Op) int
 }
 
 // Registry maps component kinds to codecs. The zero value is unusable;
@@ -212,14 +209,6 @@ func (r *Registry) Apply(doc *text.Data, op Op) error {
 	return c.Apply(doc, op)
 }
 
-// Growth over-estimates op's encoded-size growth (the MaxDocBytes guard).
-func (r *Registry) Growth(op Op) int {
-	if c := r.m[op.Kind]; c != nil {
-		return c.Growth(op)
-	}
-	return 0
-}
-
 // Xform rewrites a — valid in some state C — to be valid in C+b. aLater
 // is the server-order tiebreak: true when a commits after b. Same-kind
 // pairs go through the kind's transform; cross-kind pairs shift a's
@@ -295,9 +284,6 @@ func MustAppend(dst []byte, op Op) []byte {
 
 // Apply applies op to doc against the Default registry.
 func Apply(doc *text.Data, op Op) error { return Default.Apply(doc, op) }
-
-// Growth over-estimates op's encoded-size growth (Default registry).
-func Growth(op Op) int { return Default.Growth(op) }
 
 // Xform rewrites a across b (Default registry).
 func Xform(a, b Op, aLater bool) []Op { return Default.Xform(a, b, aLater) }

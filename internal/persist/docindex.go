@@ -15,15 +15,13 @@ import (
 // The offset index is a sidecar written beside every saved document
 // (IndexPath), describing the saved bytes well enough that a later open
 // can map the document without parsing it: where the top component's
-// content payload begins and ends, how many runes and logical lines it
-// holds, and a byte/rune offset mark every markEvery logical lines. It is
-// a CRC record file (see record.go), like the edit journal:
+// content payload begins and ends, and how many runes and logical lines
+// it holds. It is a CRC record file (see record.go), like the edit
+// journal:
 //
 //	%atkindex1
 //	0 <crc> meta <docLen> <docCRC> <headLen> <headCRC> <runes> <lines>
 //	1 <crc> comp <type> <id> <contentStart> <contentEnd> <streamable>
-//	2 <crc> mark <line> <rune> <byte>
-//	...
 //
 // The meta record binds the sidecar to one exact saved file: the open
 // path trusts the index only when the file's size equals docLen AND the
@@ -37,23 +35,11 @@ import (
 // IndexMagic is the first line of every offset-index sidecar.
 const IndexMagic = "%atkindex1"
 
-// markEvery is how many logical content lines separate offset marks.
-const markEvery = 4096
-
 // headProbe is how many leading bytes the meta record's head CRC covers.
 const headProbe = 4096
 
 // IndexPath returns where the offset index for path lives.
 func IndexPath(path string) string { return path + ".idx" }
-
-// IndexMark maps one logical content line to its offsets: Rune is the
-// content-rune position at which the line's text begins, Byte the file
-// offset of its first physical line.
-type IndexMark struct {
-	Line int
-	Rune int
-	Byte int64
-}
 
 // DocIndex is the parsed offset index of one saved document.
 type DocIndex struct {
@@ -73,22 +59,6 @@ type DocIndex struct {
 	// Totals over the content payload.
 	Runes int
 	Lines int
-
-	Marks []IndexMark
-}
-
-// MarkBefore returns the last mark at or before the given logical line
-// (zero value when no mark precedes it).
-func (ix *DocIndex) MarkBefore(line int) IndexMark {
-	best := IndexMark{}
-	for _, m := range ix.Marks {
-		if m.Line <= line {
-			best = m
-		} else {
-			break
-		}
-	}
-	return best
 }
 
 // BuildIndex scans one saved document and derives its offset index in a
@@ -123,14 +93,14 @@ func BuildIndex(doc []byte) *DocIndex {
 	beginPrefix := []byte(`\begindata{`)
 
 	// Top-level begin marker.
-	line, _, ok := nextLine()
-	typ, id, merr := splitMarker(string(line), `\begindata{`)
-	if !ok || merr != nil {
+	line, _, _ := nextLine()
+	top, merr := datastream.ParseMarker(string(line))
+	if merr != nil || top.Kind != datastream.TokBegin {
 		return ix
 	}
-	ix.CompType, ix.CompID = typ, id
-	endMarker := []byte(fmt.Sprintf(`\enddata{%s,%d}`, typ, id))
-	if typ != "text" {
+	ix.CompType, ix.CompID = top.Type, top.ID
+	endMarker := []byte(fmt.Sprintf(`\enddata{%s,%d}`, top.Type, top.ID))
+	if top.Type != "text" {
 		return ix
 	}
 
@@ -138,11 +108,11 @@ func BuildIndex(doc []byte) *DocIndex {
 	contentStart := pos
 	line, off, ok := nextLine()
 	if ok && bytes.HasPrefix(line, beginPrefix) {
-		styp, sid, serr := splitMarker(string(line), `\begindata{`)
-		if serr != nil || styp != "textstyles" {
+		styles, serr := datastream.ParseMarker(string(line))
+		if serr != nil || styles.Type != "textstyles" {
 			return ix
 		}
-		styleEnd := []byte(fmt.Sprintf(`\enddata{%s,%d}`, styp, sid))
+		styleEnd := []byte(fmt.Sprintf(`\enddata{%s,%d}`, styles.Type, styles.ID))
 		for {
 			line, _, ok = nextLine()
 			if !ok || bytes.HasPrefix(line, beginPrefix) {
@@ -159,7 +129,6 @@ func BuildIndex(doc []byte) *DocIndex {
 
 	// Content payload: logical text lines only, up to our end marker.
 	var scratch []byte
-	logicalStart := off
 	inLogical := false
 	for ok {
 		if !inLogical && bytes.Equal(line, endMarker) {
@@ -175,7 +144,6 @@ func BuildIndex(doc []byte) *DocIndex {
 			return ix // embedded object or foreign nesting: not streamable
 		}
 		if !inLogical {
-			logicalStart = off
 			scratch = scratch[:0]
 		}
 		var cont bool
@@ -186,25 +154,12 @@ func BuildIndex(doc []byte) *DocIndex {
 		}
 		inLogical = cont
 		if !cont {
-			if ix.Lines%markEvery == 0 {
-				ix.Marks = append(ix.Marks, IndexMark{Line: ix.Lines, Rune: contentRuneOffset(ix.Runes, ix.Lines), Byte: int64(logicalStart)})
-			}
 			ix.Runes += utf8.RuneCount(scratch)
 			ix.Lines++
 		}
 		line, off, ok = nextLine()
 	}
 	return ix // EOF before the end marker: torn file, not streamable
-}
-
-// contentRuneOffset is where logical line number `lines` begins in the
-// joined content: the runes of every earlier line plus one join newline
-// between each adjacent pair.
-func contentRuneOffset(runesSoFar, lines int) int {
-	if lines == 0 {
-		return 0
-	}
-	return runesSoFar + lines
 }
 
 // ContentRunes returns the total rune length of the joined content.
@@ -215,41 +170,16 @@ func (ix *DocIndex) ContentRunes() int {
 	return ix.Runes + ix.Lines - 1
 }
 
-// splitMarker parses `PREFIXtype,id}` (the datastream marker shape).
-func splitMarker(line, prefix string) (typ string, id int, err error) {
-	if !strings.HasPrefix(line, prefix) {
-		return "", 0, fmt.Errorf("not a %s marker", prefix)
-	}
-	body := line[len(prefix):]
-	if !strings.HasSuffix(body, "}") {
-		return "", 0, fmt.Errorf("missing closing brace in %q", line)
-	}
-	body = body[:len(body)-1]
-	comma := strings.LastIndexByte(body, ',')
-	if comma < 0 {
-		return "", 0, fmt.Errorf("missing comma in %q", line)
-	}
-	id, err = strconv.Atoi(strings.TrimSpace(body[comma+1:]))
-	if err != nil {
-		return "", 0, fmt.Errorf("bad id in %q", line)
-	}
-	return strings.TrimSpace(body[:comma]), id, nil
-}
-
 // records renders the sidecar's record payloads.
 func (ix *DocIndex) records() []string {
 	streamable := 0
 	if ix.Streamable {
 		streamable = 1
 	}
-	recs := []string{
+	return []string{
 		fmt.Sprintf("meta %d %08x %d %08x %d %d", ix.DocLen, ix.DocCRC, ix.HeadLen, ix.HeadCRC, ix.Runes, ix.Lines),
 		fmt.Sprintf("comp %s %d %d %d %d", ix.CompType, ix.CompID, ix.ContentStart, ix.ContentEnd, streamable),
 	}
-	for _, m := range ix.Marks {
-		recs = append(recs, fmt.Sprintf("mark %d %d %d", m.Line, m.Rune, m.Byte))
-	}
-	return recs
 }
 
 // WriteIndex atomically writes the sidecar for path.
@@ -261,8 +191,8 @@ func WriteIndex(fsys FS, path string, ix *DocIndex) error {
 // misplaced record invalidates the whole index, like damage to the file
 // itself.
 func parseIndex(recs []string) (*DocIndex, error) {
-	if len(recs) < 2 {
-		return nil, fmt.Errorf("persist: index missing meta/comp records")
+	if len(recs) != 2 {
+		return nil, fmt.Errorf("persist: index holds %d records, want meta and comp", len(recs))
 	}
 	ix := &DocIndex{}
 	for seq, payload := range recs {
@@ -310,20 +240,6 @@ func (ix *DocIndex) applyRecord(seq uint64, payload string) error {
 		ix.CompType, ix.CompID = f[1], id
 		ix.ContentStart, ix.ContentEnd = start, end
 		ix.Streamable = streamable == 1
-	case "mark":
-		if seq < 2 || len(f) != 4 {
-			return bad()
-		}
-		line, e1 := strconv.Atoi(f[1])
-		runeOff, e2 := strconv.Atoi(f[2])
-		byteOff, e3 := strconv.ParseInt(f[3], 10, 64)
-		if e1 != nil || e2 != nil || e3 != nil {
-			return bad()
-		}
-		if n := len(ix.Marks); n > 0 && ix.Marks[n-1].Line >= line {
-			return bad()
-		}
-		ix.Marks = append(ix.Marks, IndexMark{Line: line, Rune: runeOff, Byte: byteOff})
 	default:
 		return bad()
 	}
@@ -365,15 +281,8 @@ func LoadIndex(fsys FS, path string) (*DocIndex, error) {
 	if crc32.ChecksumIEEE(head) != ix.HeadCRC {
 		return nil, fmt.Errorf("persist: offset index does not match the document bytes")
 	}
-	if ix.Streamable {
-		if ix.ContentStart < 0 || ix.ContentEnd < ix.ContentStart || ix.ContentEnd > size {
-			return nil, fmt.Errorf("persist: offset index content range out of bounds")
-		}
-		for _, m := range ix.Marks {
-			if m.Byte < ix.ContentStart || m.Byte > ix.ContentEnd {
-				return nil, fmt.Errorf("persist: offset index mark out of bounds")
-			}
-		}
+	if ix.Streamable && (ix.ContentStart < 0 || ix.ContentEnd < ix.ContentStart || ix.ContentEnd > size) {
+		return nil, fmt.Errorf("persist: offset index content range out of bounds")
 	}
 	return ix, nil
 }

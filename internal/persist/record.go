@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -93,36 +94,38 @@ func ReadRecordFile(fsys FS, path, magic string) ([]string, error) {
 // of the valid prefix and, when anything follows that prefix, an error
 // describing the first damage.
 func parseRecords(b []byte, magic string) ([]string, error) {
-	s := string(b)
-	nl := strings.IndexByte(s, '\n')
-	if nl < 0 || s[:nl] != magic {
+	nl := bytes.IndexByte(b, '\n')
+	if nl < 0 || string(b[:nl]) != magic {
 		return nil, errors.New("bad magic line")
 	}
-	s = s[nl+1:]
+	b = b[nl+1:]
 	var payloads []string
-	for len(s) > 0 {
+	var logical []byte
+	for len(b) > 0 {
 		// One logical line: physical lines joined while continuations ask
 		// for more. A missing final newline is a torn append.
-		var logical strings.Builder
+		logical = logical[:0]
 		for {
-			nl = strings.IndexByte(s, '\n')
+			nl = bytes.IndexByte(b, '\n')
 			if nl < 0 {
 				return payloads, errors.New("torn record at end of file (no newline)")
 			}
-			line := s[:nl]
-			s = s[nl+1:]
-			cont, err := datastream.DecodeLine(&logical, line)
+			line := b[:nl]
+			b = b[nl+1:]
+			var cont bool
+			var err error
+			logical, cont, err = datastream.DecodeAppend(logical, line)
 			if err != nil {
 				return payloads, fmt.Errorf("undecodable record where seq %d expected: %v", len(payloads), err)
 			}
 			if !cont {
 				break
 			}
-			if len(s) == 0 {
+			if len(b) == 0 {
 				return payloads, errors.New("continuation runs off end of file")
 			}
 		}
-		seq, payload, ok := parseRecord(logical.String())
+		seq, payload, ok := parseRecord(string(logical))
 		if !ok || seq != uint64(len(payloads)) {
 			return payloads, fmt.Errorf("invalid record where seq %d expected", len(payloads))
 		}

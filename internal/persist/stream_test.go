@@ -286,6 +286,25 @@ func TestCorruptIndexFallsBackToFullParse(t *testing.T) {
 		{"empty", func(t *testing.T, mem *MemFS, ib []byte) {
 			rewrite(t, mem, nil)
 		}},
+		{"mark record", func(t *testing.T, mem *MemFS, ib []byte) {
+			// Sidecars once carried seek marks, which nothing read. One
+			// written with a mark (as every non-empty text document's
+			// was) no longer validates, so the open parses eagerly until
+			// the next save rewrites it.
+			recs, err := ReadRecordFile(mem, IndexPath("doc.d"), IndexMagic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := LoadIndex(mem, "doc.d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, fmt.Sprintf("mark 0 0 %d", ix.ContentStart))
+			rewrite(t, mem, encodeRecords(IndexMagic, recs))
+			if _, err := LoadIndex(mem, "doc.d"); err == nil {
+				t.Fatal("sidecar with a mark record validated")
+			}
+		}},
 		{"missing", func(t *testing.T, mem *MemFS, ib []byte) {
 			if err := mem.Remove(IndexPath("doc.d")); err != nil {
 				t.Fatal(err)
@@ -350,9 +369,6 @@ func TestBuildIndexGeometry(t *testing.T) {
 	if got, want := ix.Lines, strings.Count(content, "\n")+1; got != want {
 		t.Fatalf("Lines = %d, want %d", got, want)
 	}
-	if len(ix.Marks) == 0 || ix.Marks[0].Line != 0 || ix.Marks[0].Byte != ix.ContentStart {
-		t.Fatalf("first mark %+v does not anchor the content start %d", ix.Marks, ix.ContentStart)
-	}
 	// The index round-trips through its on-disk form.
 	recs, err := parseRecords(encodeRecords(IndexMagic, ix.records()), IndexMagic)
 	if err != nil {
@@ -364,8 +380,25 @@ func TestBuildIndexGeometry(t *testing.T) {
 	}
 	if back.DocCRC != ix.DocCRC || back.ContentStart != ix.ContentStart ||
 		back.ContentEnd != ix.ContentEnd || back.Runes != ix.Runes ||
-		back.Lines != ix.Lines || len(back.Marks) != len(ix.Marks) ||
-		back.Streamable != ix.Streamable {
+		back.Lines != ix.Lines || back.Streamable != ix.Streamable {
 		t.Fatalf("round-trip mismatch:\n%+v\n%+v", ix, back)
+	}
+}
+
+// TestEncodeAllocsIndependentOfLines pins the encoder's per-line cost at
+// zero allocations: ten times the lines may not double the allocation
+// count (only the output buffer's doublings grow with size).
+func TestEncodeAllocsIndependentOfLines(t *testing.T) {
+	allocs := func(lines int) float64 {
+		doc := text.NewString(bigContent(lines))
+		return testing.AllocsPerRun(3, func() {
+			if _, err := EncodeDocument(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(20000)
+	if large > 2*small {
+		t.Fatalf("EncodeDocument allocates %v times for 2,000 lines but %v for 20,000", small, large)
 	}
 }

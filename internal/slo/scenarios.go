@@ -122,9 +122,9 @@ func Builtin() []Scenario {
 			Seed:        1007,
 			Warmup:      warmup, Inject: inject, Recovery: recovery,
 			// 200k runes against an 8 KiB per-frame bound: every snapshot
-			// attach must chunk (~25+ snapr frames), and — because there is
-			// no MaxDocBytes — commits keep landing far past the old
-			// single-frame ceiling.
+			// attach must chunk (~25+ snapr frames), and — because document
+			// size rejects no commit — commits keep landing far past the
+			// old single-frame ceiling.
 			PreloadRunes:   200_000,
 			SnapFrameBytes: 8 << 10,
 			Net:            &faultnet.Plan{StallFrac: 0.1, StallFor: 30 * time.Millisecond},

@@ -16,7 +16,8 @@ test:
 # docserve soak and table-collaboration tests 20 times under it (their
 # interleavings vary run to run, so one pass proves little),
 # smoke-fuzzes the datastream reader, the write→read→write round trip
-# through the full component registry, and the repaint equivalence oracle,
+# through the full component registry, the streamed encoding of edited
+# documents, and the repaint equivalence oracle,
 # holds the committed benchmark numbers to their gates, and runs the
 # end-to-end benchmark (bench-e2e).
 verify:
@@ -27,6 +28,7 @@ verify:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s .
+	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzRepaint -fuzztime=10s .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=10s ./internal/docserve
@@ -50,6 +52,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) .
+	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzRepaint -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=$(FUZZTIME) ./internal/docserve
@@ -76,8 +79,9 @@ bench-docserve:
 		-cmd "go test -run=NONE -bench=DocServe -benchtime=3s -benchmem ./internal/docserve"
 
 # bench-stream measures the streaming large-document pipeline: the
-# 100 MB open (time-to-first-paint and live heap, streamed vs eager) and
-# the chunked snapshot attach of a document past the per-frame bound.
+# 100 MB open (time-to-first-paint and live heap, streamed vs eager), the
+# save of an edited 8 MB document (time and bytes allocated), and the
+# chunked snapshot attach of a document past the per-frame bound.
 # Results (plus the derived open_large_doc / open_rss_ratio speedups)
 # land in BENCH_stream.json, which cmd/slogate holds to release floors.
 bench-stream:

@@ -2,14 +2,17 @@ package atk
 
 // Benchmarks for the streaming large-document pipeline: what a user pays
 // between asking for a huge document and seeing its first screen (TTFP),
-// what holding it open costs in live heap, and how a document past the
-// per-frame snapshot bound attaches over the wire as chunked snapr range
-// frames. `make bench-stream` records these in BENCH_stream.json, and
-// cmd/slogate holds the committed numbers to release floors.
+// what holding it open costs in live heap, what saving a large edited
+// document costs, and how a document past the per-frame snapshot bound
+// attaches over the wire as chunked snapr range frames. `make
+// bench-stream` records these in BENCH_stream.json, and cmd/slogate holds
+// the committed numbers to release floors.
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -102,6 +105,69 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	}
 	b.Run("OpenLargeDocEager", bench(false))
 	b.Run("OpenLargeDocStreamed", bench(true))
+}
+
+// soloShapedContent returns lines of lowercase words 20 to 56 characters
+// long, the shape of e2ebench solo_edit's document.
+func soloShapedContent(lines int) string {
+	words := strings.Fields("the toolkit view data object observer window frame scroll text table chart")
+	rng := rand.New(rand.NewSource(1))
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		target, n := 20+rng.Intn(37), 0
+		for {
+			w := words[rng.Intn(len(words))]
+			if n+len(w)+1 > 56 || n >= target {
+				break
+			}
+			if n > 0 {
+				sb.WriteByte(' ')
+				n++
+			}
+			sb.WriteString(w)
+			n += len(w)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// BenchmarkStreamSave measures the save of a large edited document. One
+// op is one insert and one DocFile.Save — the encode, the atomic write
+// with its fsyncs, the offset index and the journal rotation — of a
+// 200,000-line document shaped like e2ebench solo_edit's. B/op is what
+// one save allocates; doc-bytes is the size of the file it writes.
+func BenchmarkStreamSave(b *testing.B) {
+	reg := benchRegistry(b)
+	path := filepath.Join(b.TempDir(), "save.d")
+	if err := persist.SaveDocument(persist.OS, path, text.NewString(soloShapedContent(200000))); err != nil {
+		b.Fatal(err)
+	}
+	df, err := persist.Load(persist.OS, path, reg, datastream.Strict)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer df.Close()
+	if err := df.StartJournal(); err != nil {
+		b.Fatal(err)
+	}
+	mid := df.Doc.Len() / 2
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := df.Doc.Insert(mid, "x"); err != nil {
+			b.Fatal(err)
+		}
+		if err := df.Save(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(st.Size()), "doc-bytes")
 }
 
 // BenchmarkStreamChunkedAttach measures a wire attach of a document far

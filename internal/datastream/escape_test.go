@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // escapeCases is a spread of logical lines for the encoder: empty, plain,
@@ -262,5 +263,75 @@ func TestEscapeLinesMatchesWriter(t *testing.T) {
 	want += "\\enddata{text,1}\n"
 	if got := sb.String(); got != want {
 		t.Fatalf("writer output\n%q\nwant\n%q", got, want)
+	}
+}
+
+// writeText runs one Writer over a text object whose payload body calls
+// write, and returns the output.
+func writeText(t *testing.T, write func(w *Writer) error) string {
+	t.Helper()
+	var sb strings.Builder
+	w := NewWriter(&sb)
+	if _, err := w.Begin("text"); err != nil {
+		t.Fatal(err)
+	}
+	if err := write(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestWriteRunesMatchesWriteText: the streaming text entry, fed a text in
+// slices cut anywhere (inside wrapped lines and escape runs included),
+// writes exactly what WriteText writes for the whole; runes string()
+// would turn into U+FFFD encode as it does.
+func TestWriteRunesMatchesWriteText(t *testing.T) {
+	texts := append([]string{strings.Join(escapeCases, "\n"), "a\n", "\n", strings.Repeat("é\\x", 200) + "\n"}, escapeCases...)
+	for _, s := range texts {
+		want := writeText(t, func(w *Writer) error { return w.WriteText(s) })
+		rs := []rune(s)
+		for _, step := range []int{1, 2, 3, 7, 77, 78, 79, 1000, textChunk + 1} {
+			got := writeText(t, func(w *Writer) error {
+				for i := 0; i < len(rs); i += step {
+					if err := w.WriteRunes(rs[i:min(len(rs), i+step)]); err != nil {
+						return err
+					}
+				}
+				if len(rs) == 0 {
+					if err := w.WriteRunes(nil); err != nil {
+						return err
+					}
+				}
+				return w.EndText()
+			})
+			if got != want {
+				t.Fatalf("%q in slices of %d:\n got %q\nwant %q", s, step, got, want)
+			}
+		}
+	}
+	bad := []rune{'a', 0xD800, 'b', 0xDFFF, utf8.MaxRune + 1, -1, '\\', 0x10FFFF}
+	want := writeText(t, func(w *Writer) error { return w.WriteText(string(bad)) })
+	if got := writeText(t, func(w *Writer) error { return w.WriteRunes(bad) }); got != want {
+		t.Fatalf("invalid runes:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestEndTextOnlyEndsOpenText: markers end an open text, and ending text
+// when none is open writes nothing.
+func TestEndTextOnlyEndsOpenText(t *testing.T) {
+	got := writeText(t, func(w *Writer) error {
+		if err := w.EndText(); err != nil {
+			return err
+		}
+		return w.WriteRunes([]rune("unended"))
+	})
+	if want := "\\begindata{text,1}\nunended\n\\enddata{text,1}\n"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }

@@ -53,7 +53,13 @@ type Writer struct {
 	nextID int
 	stack  []openObj
 	err    error
-	line   []byte // WriteText's escape buffer, reused across lines
+
+	// The open text of the streaming text entry (WriteRunes, WriteText,
+	// EndText): its current physical line, and the escape buffer reused
+	// across calls.
+	text   lineEnc
+	inText bool
+	line   []byte
 }
 
 type openObj struct {
@@ -80,8 +86,8 @@ func (w *Writer) Begin(typ string) (int, error) {
 // enough for \view references within the enclosing stream; the caller is
 // responsible for that when choosing its own.
 func (w *Writer) BeginID(typ string, id int) error {
-	if w.err != nil {
-		return w.err
+	if err := w.EndText(); err != nil {
+		return err
 	}
 	if err := checkTypeName(typ); err != nil {
 		w.err = err
@@ -106,8 +112,8 @@ func (w *Writer) BeginID(typ string, id int) error {
 
 // End closes the most recently begun object.
 func (w *Writer) End() error {
-	if w.err != nil {
-		return w.err
+	if err := w.EndText(); err != nil {
+		return err
 	}
 	if len(w.stack) == 0 {
 		w.err = fmt.Errorf("%w: End with no open object", ErrBadNesting)
@@ -122,8 +128,8 @@ func (w *Writer) End() error {
 // View emits a \view{type,id} reference: "a view of the given type is
 // placed here, displaying the data object written under id".
 func (w *Writer) View(viewType string, id int) error {
-	if w.err != nil {
-		return w.err
+	if err := w.EndText(); err != nil {
+		return err
 	}
 	if err := checkTypeName(viewType); err != nil {
 		w.err = err
@@ -138,27 +144,68 @@ func (w *Writer) View(viewType string, id int) error {
 	return w.keep(err)
 }
 
+// textChunk bounds how many runes WriteRunes escapes before handing them
+// to the output, so its buffer stays a few kilobytes whatever it is given.
+const textChunk = 4096
+
+// WriteRunes is the streaming text entry: it encodes rs as payload text,
+// each '\n' ending a logical line, and carries the current physical
+// line's column across calls. A text may therefore arrive in any number
+// of slices (a piece table's pieces, say) and encodes exactly as the
+// whole would in one WriteText. EndText finishes the text; Begin, End,
+// View, WriteRawLine and Close end an open text first.
+func (w *Writer) WriteRunes(rs []rune) error {
+	if w.err != nil {
+		return w.err
+	}
+	w.inText = true
+	for len(rs) > 0 {
+		n := min(len(rs), textChunk)
+		w.line = w.text.escapeRunes(w.line[:0], rs[:n])
+		if _, err := w.bw.Write(w.line); err != nil {
+			return w.keep(err)
+		}
+		rs = rs[n:]
+	}
+	return nil
+}
+
+// EndText ends the text WriteRunes or WriteText began: its last logical
+// line gets its newline. With no text open it does nothing.
+func (w *Writer) EndText() error {
+	if w.err != nil || !w.inText {
+		return w.err
+	}
+	w.inText = false
+	w.line = w.text.end(w.line[:0])
+	_, err := w.bw.Write(w.line)
+	return w.keep(err)
+}
+
 // WriteText encodes arbitrary text (any runes, any length) as payload
-// lines, escaping and wrapping per the package rules. Each call emits one
-// logical line per newline-separated segment of s, so the decoded content
-// of the emitted tokens — joined with "\n" — is exactly s. Callers should
-// therefore pass complete content in a single call rather than
-// concatenating across calls.
+// lines, escaping and wrapping per the package rules: it is the streaming
+// entry over one chunk held as a string, then EndText. Each call emits
+// one logical line per newline-separated segment of s, so the decoded
+// content of the emitted tokens — joined with "\n" — is exactly s.
+// Callers should therefore pass complete content in a single call rather
+// than concatenating across calls.
 func (w *Writer) WriteText(s string) error {
 	if w.err != nil {
 		return w.err
 	}
-	for {
-		line, rest, more := strings.Cut(s, "\n")
-		w.line = AppendEscaped(w.line[:0], line)
+	w.inText = true
+	for more := true; more; {
+		var line string
+		line, s, more = strings.Cut(s, "\n")
+		w.line = escapeBytes(&w.text, w.line[:0], line)
+		if more {
+			w.line = w.text.end(w.line)
+		}
 		if _, err := w.bw.Write(w.line); err != nil {
 			return w.keep(err)
 		}
-		if !more {
-			return nil
-		}
-		s = rest
 	}
+	return w.EndText()
 }
 
 // WriteRawLine emits one payload line verbatim. The component owns the
@@ -166,8 +213,8 @@ func (w *Writer) WriteText(s string) error {
 // (plus tab), under 80 columns, and no leading backslash (which would
 // collide with the marker syntax).
 func (w *Writer) WriteRawLine(s string) error {
-	if w.err != nil {
-		return w.err
+	if err := w.EndText(); err != nil {
+		return err
 	}
 	if len(s) > MaxLine {
 		w.err = fmt.Errorf("%w: %d chars", ErrLongLine, len(s))
@@ -193,8 +240,8 @@ func (w *Writer) Depth() int { return len(w.stack) }
 
 // Close flushes and verifies that every Begin was matched by an End.
 func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
+	if err := w.EndText(); err != nil {
+		return err
 	}
 	if len(w.stack) != 0 {
 		w.err = fmt.Errorf("%w: %d unclosed", ErrOpen, len(w.stack))

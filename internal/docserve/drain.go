@@ -3,7 +3,6 @@ package docserve
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"strconv"
 	"strings"
 	"time"
@@ -85,15 +84,6 @@ func (h *Host) Drain(ctx context.Context) error {
 	h.snapFrames = nil
 	df := h.df
 	h.df = nil
-	// Encode the sidecar under the lock: the CRC must describe exactly the
-	// document df.Save is about to write, with the epoch/seq/client state
-	// of the same instant.
-	var state []string
-	if df != nil && h.fsys != nil {
-		if enc, err := persist.EncodeDocument(h.doc); err == nil {
-			state = h.hostStateLocked(crc32.ChecksumIEEE(enc))
-		}
-	}
 	h.mu.Unlock()
 	if df == nil {
 		return nil
@@ -103,7 +93,15 @@ func (h *Host) Drain(ctx context.Context) error {
 		return err
 	}
 	var first error
-	if state != nil {
+	if h.fsys != nil {
+		// The sidecar binds the epoch/seq/client state to the CRC of the
+		// bytes the save wrote. Both describe the same instant: since the
+		// bye, commitGroup refuses every group and attach every session,
+		// so neither the document nor that state has changed since the
+		// lock was released.
+		h.mu.Lock()
+		state := h.hostStateLocked(df.FileCRC())
+		h.mu.Unlock()
 		first = persist.WriteRecordFile(h.fsys, HostStatePath(h.name), hostStateMagic, state)
 	}
 	if err := df.Close(); err != nil && first == nil {
@@ -198,9 +196,9 @@ func decodeHostState(recs []string) (*hostState, error) {
 // (removed on sight): it describes exactly one saved document state, and
 // adopting it against any other — a crash after new commits, a journal
 // replay, a hand-edited file — would break the dedup invariants, so the
-// CRC of the canonical encoding is the admission test and any mismatch
-// means a fresh epoch (clients snapshot-resync, which is correct, just
-// costlier).
+// CRC of the file's bytes (taken by OpenHostFile's eager load, so it
+// covers the whole file) is the admission test and any mismatch means a
+// fresh epoch (clients snapshot-resync, which is correct, just costlier).
 func (h *Host) adoptState(fsys persist.FS, path string) {
 	sp := HostStatePath(path)
 	recs, err := persist.ReadRecordFile(fsys, sp, hostStateMagic)
@@ -212,11 +210,7 @@ func (h *Host) adoptState(fsys persist.FS, path string) {
 		return // damaged, or committed ops landed after the drain's save
 	}
 	st, err := decodeHostState(recs)
-	if err != nil {
-		return
-	}
-	enc, err := persist.EncodeDocument(h.doc)
-	if err != nil || crc32.ChecksumIEEE(enc) != st.crc {
+	if err != nil || st.crc != h.df.FileCRC() {
 		return
 	}
 	h.epoch, h.seq = st.epoch, st.seq

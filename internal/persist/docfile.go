@@ -45,11 +45,11 @@ type DocFile struct {
 
 	journal *Journal
 	stale   bool // journal no longer reconstructs Doc; checkpoint needed
-	// baseCRC is the journal header binding to the saved bytes, cached by
-	// whoever last had those bytes (or their CRC) in hand — Load, Save,
-	// or the streaming open — so starting a journal does not have to read
-	// the whole file back just to hash it.
-	baseCRC string
+	// crc is the CRC-32 of the file's bytes as this DocFile last read or
+	// wrote them, taken by whoever had them (or their CRC) in hand — Load,
+	// the streaming open's offset index, Save's offset index — so binding
+	// a journal to them never reads the file back just to hash it.
+	crc uint32
 
 	// LoadDiags are datastream repair diagnostics from parsing the file.
 	LoadDiags []string
@@ -80,8 +80,8 @@ func JournalPath(path string) string { return path + ".journal" }
 
 // EncodeDocument serializes doc to the external representation.
 func EncodeDocument(doc *text.Data) ([]byte, error) {
-	var buf bytes.Buffer
-	w := datastream.NewWriter(&buf)
+	buf := bytes.NewBuffer(make([]byte, 0, encodedSizeHint(doc)))
+	w := datastream.NewWriter(buf)
 	if _, err := core.WriteObject(w, doc); err != nil {
 		return nil, err
 	}
@@ -91,35 +91,58 @@ func EncodeDocument(doc *text.Data) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// encodedSizeHint is EncodeDocument's up-front buffer size: a byte per
+// rune, a sixth more for escapes and continuation breaks, and room for
+// the markers and style runs. Plain text fits it with room to spare, so
+// the buffer is allocated once; text denser in escapes than that (or a
+// large embedded component) grows it as usual.
+func encodedSizeHint(doc *text.Data) int {
+	n := doc.Len() + doc.PendingRunes()
+	return n + n/6 + 32*len(doc.Runs()) + 512
+}
+
 // SaveDocument atomically writes doc to path (the save-as path, with no
 // journal attached) and refreshes the offset-index sidecar.
 func SaveDocument(fsys FS, path string, doc *text.Data) error {
+	_, err := save(fsys, path, doc)
+	return err
+}
+
+// save is the one save routine behind SaveDocument and DocFile.Save, a
+// single pass over the document: one encode, then the offset index built
+// on a goroutine while AtomicWrite writes and fsyncs the same bytes. The
+// index is joined on every path, and written only after the rename and
+// the directory fsync, so the file operations keep their order. It
+// returns the index, whose DocCRC binds a journal to the saved bytes.
+func save(fsys FS, path string, doc *text.Data) (*DocIndex, error) {
+	// A streamed document saves its tail too — and if the tail could not
+	// be loaded, overwriting the original with the truncated buffer would
+	// destroy the very bytes the document is still missing.
 	if err := doc.LoadAll(); err != nil {
-		return fmt.Errorf("persist: refusing to save a truncated document: %w", err)
+		return nil, fmt.Errorf("persist: refusing to save a truncated document: %w", err)
 	}
 	b, err := EncodeDocument(doc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := AtomicWrite(fsys, path, func(w io.Writer) error {
+	built := make(chan *DocIndex)
+	go func() { built <- BuildIndex(b) }()
+	err = AtomicWrite(fsys, path, func(w io.Writer) error {
 		_, werr := w.Write(b)
 		return werr
-	}); err != nil {
-		return err
+	})
+	ix := <-built
+	if err != nil {
+		return nil, err
 	}
-	writeSidecar(fsys, path, b)
-	return nil
-}
-
-// writeSidecar refreshes the offset index beside a just-saved document.
-// Best-effort: the index only accelerates later opens, so a failure to
-// write it removes any stale one and otherwise lets the save stand. (A
-// stale sidecar would be rejected at open by its size/CRC binding anyway;
-// removing it just saves that open the wasted validation.)
-func writeSidecar(fsys FS, path string, doc []byte) {
-	if err := WriteIndex(fsys, path, BuildIndex(doc)); err != nil {
+	// Best-effort: the index only accelerates later opens, so a failure
+	// to write it removes any stale one and otherwise lets the save stand.
+	// (A stale sidecar would be rejected at open by its size/CRC binding
+	// anyway; removing it just saves that open the wasted validation.)
+	if err := WriteIndex(fsys, path, ix); err != nil {
 		_ = fsys.Remove(IndexPath(path))
 	}
+	return ix, nil
 }
 
 // baseHeader is the journal header binding it to an exact saved file — a
@@ -149,7 +172,7 @@ func Load(fsys FS, path string, reg *class.Registry, mode datastream.Mode) (*Doc
 		return nil, fmt.Errorf("%s holds a %s, not a text document", path, obj.TypeName())
 	}
 	doc.SetRegistry(reg)
-	df := &DocFile{fsys: fsys, Path: path, Doc: doc, baseCRC: baseHeader(crc32.ChecksumIEEE(raw))}
+	df := &DocFile{fsys: fsys, Path: path, Doc: doc, crc: crc32.ChecksumIEEE(raw)}
 	for _, d := range r.Diagnostics() {
 		df.LoadDiags = append(df.LoadDiags, d.String())
 	}
@@ -174,7 +197,7 @@ func (df *DocFile) recoverJournal() {
 		}
 		return
 	}
-	if rep.Header != df.baseCRC {
+	if rep.Header != baseHeader(df.crc) {
 		// Either the header is inside the damaged region or the journal
 		// belongs to an older version of the file (crash between the save's
 		// rename and the journal rotation). The file is newer: trust it.
@@ -270,7 +293,7 @@ func (df *DocFile) wireComponents() {
 // edit logger — and journals exactly the records it commits, in its own
 // authoritative order.
 func (df *DocFile) StartJournalDetached() error {
-	j, err := CreateJournal(df.fsys, JournalPath(df.Path), df.baseCRC, df.replayed)
+	j, err := CreateJournal(df.fsys, JournalPath(df.Path), baseHeader(df.crc), df.replayed)
 	if err != nil {
 		return err
 	}
@@ -289,6 +312,11 @@ func (df *DocFile) AppendRecord(payload string) error {
 	}
 	return df.journal.Append(payload)
 }
+
+// FileCRC returns the CRC-32 of the document file's bytes as this DocFile
+// last read or wrote them: the whole file at Load, and the bytes written
+// by the last successful Save.
+func (df *DocFile) FileCRC() uint32 { return df.crc }
 
 // JournalErr reports the journal's latched error, nil when healthy or when
 // no journal is attached.
@@ -347,24 +375,11 @@ func (df *DocFile) Sync() error {
 // Save atomically writes the document to its path and rotates the journal
 // to a fresh one bound to the new bytes.
 func (df *DocFile) Save() error {
-	// A streamed document saves its tail too — and if the tail could not
-	// be loaded, overwriting the original with the truncated buffer would
-	// destroy the very bytes the document is still missing.
-	if err := df.Doc.LoadAll(); err != nil {
-		return fmt.Errorf("persist: refusing to save a truncated document: %w", err)
-	}
-	b, err := EncodeDocument(df.Doc)
+	ix, err := save(df.fsys, df.Path, df.Doc)
 	if err != nil {
 		return err
 	}
-	if err := AtomicWrite(df.fsys, df.Path, func(w io.Writer) error {
-		_, werr := w.Write(b)
-		return werr
-	}); err != nil {
-		return err
-	}
-	writeSidecar(df.fsys, df.Path, b)
-	df.baseCRC = baseHeader(crc32.ChecksumIEEE(b))
+	df.crc = ix.DocCRC
 	df.Doc.MarkClean()
 	df.replayed = nil
 	if df.journal == nil {
@@ -375,7 +390,7 @@ func (df *DocFile) Save() error {
 	// no longer matter — the records it guarded are in the saved file.
 	_ = df.journal.Close()
 	df.journal = nil
-	j, err := CreateJournal(df.fsys, JournalPath(df.Path), df.baseCRC, nil)
+	j, err := CreateJournal(df.fsys, JournalPath(df.Path), baseHeader(df.crc), nil)
 	if err != nil {
 		df.stale = false
 		return fmt.Errorf("document saved, but journaling could not restart: %w", err)

@@ -62,10 +62,13 @@ type DocIndex struct {
 }
 
 // BuildIndex scans one saved document and derives its offset index in a
-// single pass. It never fails: a document whose shape the streaming open
-// cannot serve (embedded components, multiple top-level objects, odd
-// nesting) yields an index with Streamable == false, which still binds
-// the sidecar to the bytes and still lets the journal reuse docCRC.
+// single pass. Content lines with no backslash (no escape, no
+// continuation) that do not continue a logical line are counted without
+// decoding them, a run of them at a time; the rest are decoded. It never
+// fails: a document whose shape the streaming open cannot serve
+// (embedded components, multiple top-level objects, odd nesting) yields
+// an index with Streamable == false, which still binds the sidecar to
+// the bytes and still lets the journal reuse docCRC.
 func BuildIndex(doc []byte) *DocIndex {
 	ix := &DocIndex{
 		DocLen:  int64(len(doc)),
@@ -130,7 +133,14 @@ func BuildIndex(doc []byte) *DocIndex {
 	// Content payload: logical text lines only, up to our end marker.
 	var scratch []byte
 	inLogical := false
+	next := -1 // offset of the first backslash at or after off; len(doc) if none
 	for ok {
+		if next < off {
+			next = len(doc)
+			if i := bytes.IndexByte(doc[off:], '\\'); i >= 0 {
+				next = off + i
+			}
+		}
 		if !inLogical && bytes.Equal(line, endMarker) {
 			ix.ContentEnd = int64(off)
 			// Nothing may follow the end marker.
@@ -142,6 +152,22 @@ func BuildIndex(doc []byte) *DocIndex {
 		}
 		if !inLogical && (bytes.HasPrefix(line, beginPrefix) || bytes.HasPrefix(line, []byte(`\view{`)) || bytes.HasPrefix(line, []byte(`\enddata{`))) {
 			return ix // embedded object or foreign nesting: not streamable
+		}
+		if !inLogical && next >= off+len(line) {
+			// This line and the whole lines after it up to the one holding
+			// the next backslash have no escape and continue no logical
+			// line, so decoding would copy them byte for byte, raw
+			// non-ASCII included. Their runes are counted in place, all at
+			// once: UTF-8 never spans a newline.
+			run := line
+			if k := bytes.LastIndexByte(doc[off:next], '\n'); k >= 0 {
+				run, pos = doc[off:off+k], off+k+1
+			}
+			n := bytes.Count(run, []byte{'\n'})
+			ix.Runes += utf8.RuneCount(run) - n
+			ix.Lines += n + 1
+			line, off, ok = nextLine()
+			continue
 		}
 		if !inLogical {
 			scratch = scratch[:0]

@@ -242,6 +242,27 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJournalRecordNotValidUTF8: a payload holding bytes that are not
+// valid UTF-8 reads back intact, each such byte as U+FFFD (as the escape
+// encoder writes it), and the records after it still replay.
+func TestJournalRecordNotValidUTF8(t *testing.T) {
+	mem := NewMemFS()
+	j := mustJournal(t, mem, "j", "i 0 0\x99\xe2\x9c!", "i 1 after")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayJournal(mem, "j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Damaged || len(rep.Records) != 2 {
+		t.Fatalf("damaged=%v (%s), %d records", rep.Damaged, rep.Diag, len(rep.Records))
+	}
+	if want := "i 0 0\uFFFD\uFFFD\uFFFD!"; rep.Records[0] != want || rep.Records[1] != "i 1 after" {
+		t.Fatalf("records %q, want %q then %q", rep.Records, want, "i 1 after")
+	}
+}
+
 func TestJournalMissing(t *testing.T) {
 	if _, err := ReplayJournal(NewMemFS(), "nope"); err != ErrNoJournal {
 		t.Fatalf("err = %v, want ErrNoJournal", err)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"atk/internal/datastream"
 )
@@ -42,7 +43,16 @@ func appendFrameRecord(dst, scratch []byte, seq uint64, payload string) (out, sc
 	body := strconv.AppendUint(scratch[:0], seq, 10)
 	body = append(body, ' ')
 	seqLen := len(body)
-	body = append(body, payload...)
+	if utf8.ValidString(payload) {
+		body = append(body, payload...)
+	} else {
+		// The escape encoder writes a byte that is not valid UTF-8 as
+		// U+FFFD, so the CRC must cover the payload as a reader will
+		// decode it, or the record reads back as damage.
+		for _, r := range payload {
+			body = utf8.AppendRune(body, r)
+		}
+	}
 	crc := crc32.ChecksumIEEE(body)
 	body = append(body, "000000000"...)
 	copy(body[seqLen+9:], body[seqLen:len(body)-9])

@@ -105,7 +105,7 @@ func tryLoadStreaming(fsys FS, path string, reg *class.Registry, mode datastream
 		totalLines: idx.Lines,
 	})
 	doc.MarkClean()
-	df := &DocFile{fsys: fsys, Path: path, Doc: doc, baseCRC: baseHeader(idx.DocCRC)}
+	df := &DocFile{fsys: fsys, Path: path, Doc: doc, crc: idx.DocCRC}
 	for _, d := range r.Diagnostics() {
 		df.LoadDiags = append(df.LoadDiags, d.String())
 	}

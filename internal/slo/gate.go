@@ -230,7 +230,8 @@ type BenchGate struct {
 // numbers: thresholds sit far enough from the recorded values that only
 // an order-of-magnitude regression (or a vanished metric) trips them,
 // except the size ratios, which hold a keystroke's cost flat in
-// document size.
+// document size, and the save's allocation bound, which holds a save to
+// about one copy of the document.
 func DefaultBenchGates() []BenchGate {
 	return []BenchGate{
 		{Name: "fanout_allocs", Bench: "DocServeFanout", Metric: "allocs_per_op", Op: "<=", Threshold: 128},
@@ -258,6 +259,11 @@ func DefaultBenchGates() []BenchGate {
 		{Name: "open_ttfp_speedup", Metric: "speedup:open_large_doc", Op: ">=", Threshold: 10},
 		{Name: "open_rss_ratio", Metric: "speedup:open_rss_ratio", Op: ">=", Threshold: 5},
 		{Name: "chunked_attach_chunks", Bench: "StreamChunkedAttach", Metric: "extra:chunks/attach", Op: ">=", Threshold: 2},
+		// A save streams the piece table into the escape encoder and
+		// copies no text: one save of BenchmarkStreamSave's document
+		// (8,253,664 bytes on disk after `make bench-stream`'s one
+		// insert, its doc-bytes) may allocate at most twice that.
+		{Name: "stream_save_bytes", Bench: "StreamSave", Metric: "bytes_per_op", Op: "<=", Threshold: 2 * 8253664},
 	}
 }
 

@@ -46,7 +46,9 @@ func (d *Data) registry() *class.Registry {
 // embed-insert ops need the same registry the document itself uses.
 func (d *Data) Registry() *class.Registry { return d.registry() }
 
-// WritePayload implements core.DataObject.
+// WritePayload implements core.DataObject. The text between embedded
+// components goes from the pieces straight into the writer's streaming
+// text entry: a save makes no copy of the document.
 func (d *Data) WritePayload(w *datastream.Writer) error {
 	d.ensureLoaded()
 	if err := d.writeStyles(w); err != nil {
@@ -54,10 +56,8 @@ func (d *Data) WritePayload(w *datastream.Writer) error {
 	}
 	cursor := 0
 	for _, e := range d.embeds {
-		if chunk := d.Slice(cursor, e.Pos); chunk != "" {
-			if err := w.WriteText(chunk); err != nil {
-				return err
-			}
+		if err := d.writeText(w, cursor, e.Pos); err != nil {
+			return err
 		}
 		id, err := core.WriteObject(w, e.Obj)
 		if err != nil {
@@ -68,12 +68,25 @@ func (d *Data) WritePayload(w *datastream.Writer) error {
 		}
 		cursor = e.Pos + 1 // skip the anchor rune
 	}
-	if chunk := d.Slice(cursor, d.length); chunk != "" {
-		if err := w.WriteText(chunk); err != nil {
+	return d.writeText(w, cursor, d.length)
+}
+
+// writeText writes [start, end) as one text, handing the writer each
+// piece's runes in place; an empty range writes nothing.
+func (d *Data) writeText(w *datastream.Writer, start, end int) error {
+	if start >= end {
+		return nil
+	}
+	for it, po := d.pieceAt(start); start < end; it.Next() {
+		p := it.Val()
+		n := min(it.Len()-po, end-start)
+		if err := w.WriteRunes(d.src(p.src)[p.off+po : p.off+po+n]); err != nil {
 			return err
 		}
+		start += n
+		po = 0
 	}
-	return nil
+	return w.EndText()
 }
 
 func (d *Data) writeStyles(w *datastream.Writer) error {

@@ -15,9 +15,10 @@ test:
 # race detector (which includes the golden-frame comparisons), reruns the
 # docserve soak and table-collaboration tests 20 times under it (their
 # interleavings vary run to run, so one pass proves little),
-# smoke-fuzzes the datastream reader, the write→read→write round trip
-# through the full component registry, the streamed encoding of edited
-# documents, and the repaint equivalence oracle,
+# smoke-fuzzes the datastream reader and its line reader, the
+# write→read→write round trip through the full component registry, the
+# streamed encoding of edited documents, and the repaint equivalence
+# oracle,
 # holds the committed benchmark numbers to their gates, and runs the
 # end-to-end benchmark (bench-e2e).
 verify:
@@ -27,6 +28,7 @@ verify:
 	$(GO) test -race -count=20 -run 'TestSoak|TestTableCollab' ./internal/docserve
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/datastream
+	$(GO) test -fuzz=FuzzLineReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzRepaint -fuzztime=10s .
@@ -51,6 +53,7 @@ bench-e2e:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/datastream
+	$(GO) test -fuzz=FuzzLineReader -fuzztime=$(FUZZTIME) ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzRepaint -fuzztime=$(FUZZTIME) .

@@ -18,8 +18,8 @@ import (
 // logical line held as a string or []byte, and the rune walk
 // (lineEnc.escapeRunes) over text held as runes, which the Writer's
 // streaming text entry feeds piece by piece. There is one decoder
-// (decodeAppend); every writer and reader of the discipline goes through
-// these.
+// (decodeAppend) and one reader of lines (LineReader, line.go); every
+// writer and reader of the discipline goes through these.
 
 // plain reports whether byte c is written as itself: printable ASCII or
 // tab, except the backslash, which is doubled.
@@ -165,7 +165,7 @@ func DecodeAppend(dst, line []byte) (out []byte, cont bool, err error) {
 }
 
 // decodeAppend is the escape decoder behind DecodeAppend and the
-// document Reader, which holds its physical lines as strings.
+// LineReader; it decodes a line held as a string just the same.
 func decodeAppend[S string | []byte](dst []byte, line S) (out []byte, cont bool, err error) {
 	i := 0
 	for i < len(line) {

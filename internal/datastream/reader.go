@@ -76,9 +76,9 @@ var ErrLimit = errors.New("datastream: resource limit exceeded")
 type Limits struct {
 	// MaxDepth is the maximum begin/end nesting depth.
 	MaxDepth int
-	// MaxLineBytes is the maximum length of one physical line. Writers
-	// keep lines under 80 columns, but readers must survive hostile input
-	// that never supplies a newline.
+	// MaxLineBytes is the maximum length of one physical line, its
+	// newline not counted. Writers keep lines under 80 columns, but
+	// readers must survive hostile input that never supplies a newline.
 	MaxLineBytes int
 	// MaxPayloadBytes caps the total decoded payload text delivered over
 	// the reader's lifetime, bounding what a document can make its
@@ -121,25 +121,22 @@ type Options struct {
 // payload. In Lenient mode it additionally recovers from malformed input;
 // see Mode.
 type Reader struct {
-	br     *bufio.Reader
+	lr     *LineReader
 	stack  []openObj
 	mode   Mode
 	limits Limits
 	diags  []ParseDiagnostic
-	// line is the number of physical lines consumed so far.
-	line int
 	// lastLine is the starting line of the last token returned by Next.
 	lastLine int
 	// payload is the total decoded payload bytes delivered so far.
 	payload int
-	// peeked holds a token pushed back by Peek.
-	peeked *Token
+	// peeked holds a token pushed back by Peek, when hasPeek is set.
+	peeked  Token
+	hasPeek bool
 	// synth holds pending synthesized end tokens queued by lenient
 	// recovery; they are delivered (and the stack popped) before any new
 	// input is read.
 	synth []Token
-	// dec is the payload decode buffer, reused across text tokens.
-	dec []byte
 }
 
 // NewReader returns a strict Reader with default limits consuming r.
@@ -159,7 +156,7 @@ func NewReaderOptions(r io.Reader, opts Options) *Reader {
 	if lim.MaxPayloadBytes <= 0 {
 		lim.MaxPayloadBytes = DefaultLimits.MaxPayloadBytes
 	}
-	return &Reader{br: bufio.NewReader(r), mode: opts.Mode, limits: lim}
+	return &Reader{lr: NewLineReader(bufio.NewReader(r), lim.MaxLineBytes), mode: opts.Mode, limits: lim}
 }
 
 // Mode returns the reader's error-handling mode.
@@ -190,7 +187,7 @@ func (r *Reader) Line() int { return r.lastLine }
 // InputLine returns the number of physical lines consumed from the
 // underlying stream, which can run ahead of Line after a Peek or across
 // continuation joins.
-func (r *Reader) InputLine() int { return r.line }
+func (r *Reader) InputLine() int { return r.lr.Lines() }
 
 // Depth returns how many objects are currently open.
 func (r *Reader) Depth() int { return len(r.stack) }
@@ -199,11 +196,10 @@ func (r *Reader) Depth() int { return len(r.stack) }
 // still-open object is reported as ErrBadNesting (strict) or closed with
 // synthesized end tokens (lenient).
 func (r *Reader) Next() (Token, error) {
-	if r.peeked != nil {
-		t := *r.peeked
-		r.peeked = nil
-		r.lastLine = t.Line
-		return t, nil
+	if r.hasPeek {
+		r.hasPeek = false
+		r.lastLine = r.peeked.Line
+		return r.peeked, nil
 	}
 	t, err := r.next()
 	if err == nil {
@@ -215,14 +211,14 @@ func (r *Reader) Next() (Token, error) {
 // Peek returns the next token without consuming it. Line() is unaffected
 // until the token is actually consumed by Next.
 func (r *Reader) Peek() (Token, error) {
-	if r.peeked == nil {
+	if !r.hasPeek {
 		t, err := r.next()
 		if err != nil {
 			return t, err
 		}
-		r.peeked = &t
+		r.peeked, r.hasPeek = t, true
 	}
-	return *r.peeked, nil
+	return r.peeked, nil
 }
 
 // popSynth delivers one queued synthesized end token, keeping the stack
@@ -241,31 +237,38 @@ func (r *Reader) next() (Token, error) {
 		if len(r.synth) > 0 {
 			return r.popSynth(), nil
 		}
-		raw, err := r.readPhysical()
+		raw, err := r.lr.ReadLine()
+		if err == ErrNoNewline {
+			err = nil // a final line without a newline is still a line
+		}
 		if err != nil {
 			if err == io.EOF && len(r.stack) > 0 {
+				line := r.lr.Lines()
 				if r.mode == Lenient {
 					for i := len(r.stack) - 1; i >= 0; i-- {
 						o := r.stack[i]
-						r.AddDiagnostic(r.line, "EOF with %s,%d still open; closed implicitly", o.typ, o.id)
-						r.synth = append(r.synth, Token{Kind: TokEnd, Type: o.typ, ID: o.id, Line: r.line})
+						r.AddDiagnostic(line, "EOF with %s,%d still open; closed implicitly", o.typ, o.id)
+						r.synth = append(r.synth, Token{Kind: TokEnd, Type: o.typ, ID: o.id, Line: line})
 					}
 					continue
 				}
 				top := r.stack[len(r.stack)-1]
 				return Token{}, fmt.Errorf("%w: EOF with %s,%d open (line %d)",
-					ErrBadNesting, top.typ, top.id, r.line)
+					ErrBadNesting, top.typ, top.id, line)
 			}
 			return Token{}, err
 		}
-		startLine := r.line
-		t, perr := ParseMarker(raw)
-		if perr != nil {
-			if r.mode == Lenient {
-				r.AddDiagnostic(startLine, "malformed %s marker dropped: %v", t.Kind, perr)
-				continue
+		startLine := r.lr.Lines()
+		t := Token{Kind: TokText}
+		if len(raw) > 0 && raw[0] == '\\' {
+			var perr error
+			if t, perr = ParseMarker(string(raw)); perr != nil {
+				if r.mode == Lenient {
+					r.AddDiagnostic(startLine, "malformed %s marker dropped: %v", t.Kind, perr)
+					continue
+				}
+				return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, startLine, perr)
 			}
-			return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, startLine, perr)
 		}
 		t.Line = startLine
 		switch t.Kind {
@@ -321,73 +324,27 @@ func (r *Reader) next() (Token, error) {
 			return t, nil
 		}
 		// Payload text: decode escapes, joining continuation lines.
-		r.dec = r.dec[:0]
-		line := raw
-		dropped := false
-		for {
-			var cont bool
-			var derr error
-			r.dec, cont, derr = decodeAppend(r.dec, line)
-			if derr != nil {
-				if r.mode == Lenient {
-					r.AddDiagnostic(r.line, "undecodable payload line dropped: %v", derr)
-					dropped = true
-					break
-				}
-				return Token{}, fmt.Errorf("%w at line %d: %v", ErrSyntax, r.line, derr)
-			}
-			if r.payload+len(r.dec) > r.limits.MaxPayloadBytes {
-				return Token{}, fmt.Errorf("%w: payload exceeds %d bytes (line %d)",
-					ErrLimit, r.limits.MaxPayloadBytes, r.line)
-			}
-			if !cont {
-				break
-			}
-			line, err = r.readPhysical()
-			if err != nil {
-				if err == io.EOF {
-					if r.mode == Lenient {
-						// Keep what was decoded; the next call deals with
-						// EOF (and any still-open objects).
-						r.AddDiagnostic(r.line, "EOF in continuation; partial line kept")
-						break
-					}
-					return Token{}, fmt.Errorf("%w: EOF in continuation (line %d)", ErrSyntax, r.line)
-				}
-				return Token{}, err
-			}
-		}
-		if dropped {
+		budget := r.limits.MaxPayloadBytes - r.payload
+		text, err := r.lr.Join(raw, budget)
+		switch se, bad := err.(*SyntaxError); {
+		case err == nil, err == ErrNoNewline:
+		case bad && r.mode == Lenient:
+			r.AddDiagnostic(se.Line, "undecodable payload line dropped: %v", se.Err)
 			continue
+		case errors.Is(err, ErrLimit) && len(text) > budget:
+			return Token{}, fmt.Errorf("%w: payload exceeds %d bytes (line %d)",
+				ErrLimit, r.limits.MaxPayloadBytes, r.lr.Lines())
+		case err == io.ErrUnexpectedEOF && r.mode == Lenient:
+			// Keep what was decoded; the next call deals with EOF (and
+			// any still-open objects).
+			r.AddDiagnostic(r.lr.Lines(), "EOF in continuation; partial line kept")
+		case err == io.ErrUnexpectedEOF:
+			return Token{}, fmt.Errorf("%w: EOF in continuation (line %d)", ErrSyntax, r.lr.Lines())
+		default:
+			return Token{}, err
 		}
-		r.payload += len(r.dec)
-		return Token{Kind: TokText, Text: string(r.dec), Line: startLine}, nil
-	}
-}
-
-// readPhysical reads one physical line without its newline, refusing
-// lines longer than MaxLineBytes.
-func (r *Reader) readPhysical() (string, error) {
-	var buf []byte
-	for {
-		frag, err := r.br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if len(buf) > r.limits.MaxLineBytes {
-			return "", fmt.Errorf("%w: physical line longer than %d bytes (line %d)",
-				ErrLimit, r.limits.MaxLineBytes, r.line+1)
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			if err == io.EOF && len(buf) > 0 {
-				r.line++
-				return string(buf), nil
-			}
-			return "", err
-		}
-		r.line++
-		return strings.TrimSuffix(string(buf), "\n"), nil
+		r.payload += len(text)
+		return Token{Kind: TokText, Text: string(text), Line: startLine}, nil
 	}
 }
 

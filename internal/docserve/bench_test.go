@@ -1,11 +1,11 @@
 package docserve
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,209 +14,187 @@ import (
 	"atk/internal/text"
 )
 
-// BenchmarkDocServeFanout measures the serving hot path: one writer
-// commits an op per iteration while 32 reader replicas each receive and
-// apply every committed op. Beyond the usual ns/op (one full commit
-// round trip), it reports committed ops per second, total fan-out
-// deliveries per second, and the 99th-percentile fan-out lag — the time
-// from the writer stamping the op to a reader having applied it.
-func BenchmarkDocServeFanout(b *testing.B) {
-	const readers = 32
-	newReg := func() *class.Registry {
-		reg := class.NewRegistry()
-		if err := text.Register(reg); err != nil {
-			b.Fatal(err)
-		}
-		return reg
-	}
-	doc := text.New()
-	doc.SetRegistry(newReg())
-	h := NewHost("bench.d", doc, HostOptions{QueueLen: 8192})
+// fanoutBench is the serving-path benchmark the DocServe benchmarks
+// share: docs documents on one server, each with one writer and
+// readersPer reader replicas, every client on its own net.Pipe. prepare
+// runs once on each writer before its readers attach and returns the
+// function that commits the writer's op i (from 1); b.N counts the ops
+// of each writer. A writer commits op i+1 only after every reader of its
+// document has applied op i, so the benchmark measures fan-out at the
+// pace the readers keep, not an uncapped writer overrunning them. It
+// reports committed ops/s and deliveries/s across all documents, and the
+// 99th-percentile fan-out lag: from the writer stamping an op to a
+// reader having applied it.
+func fanoutBench(b *testing.B, docs, readersPer int, newReg func() *class.Registry,
+	prepare func(w *Client) (commit func(i int) error)) {
 	srv := NewServer(HostOptions{QueueLen: 8192})
-	srv.AddHost(h)
 	defer srv.Close()
-
-	dial := func(id string, opts ClientOptions) *Client {
+	dial := func(doc, id string, opts ClientOptions) *Client {
 		cEnd, sEnd := net.Pipe()
 		go srv.HandleConn(sEnd)
 		opts.ClientID = id
 		opts.Registry = newReg()
-		c, err := Connect(cEnd, "bench.d", opts)
+		c, err := Connect(cEnd, doc, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		return c
 	}
 
-	// sendNanos[seq] is stamped by the writer just before the commit that
-	// will be assigned seq (the writer is the only committer and plain
-	// text produces no style checkpoints, so seq tracks the iteration).
-	// Delivery over the pipe orders each reader's load after the store.
-	sendNanos := make([]int64, b.N+1)
-	lags := make([][]int64, readers)
-	var target atomic.Uint64
+	// One document's writer, its ops' send stamps, and what its readers
+	// saw: a reader records op i's lag and then signals applied.
+	type docRun struct {
+		w       *Client
+		commit  func(i int) error
+		base    uint64 // the seq before op 1
+		sent    []int64
+		lags    [][]int64
+		applied chan struct{} // one send per reader per op
+	}
+	done := make(chan struct{})   // the writers are finished
+	failed := make(chan struct{}) // a reader's connection died
+	var failOnce sync.Once
+	var readerErr error
 	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		r := r
-		lags[r] = make([]int64, 0, b.N)
-		c := dial(fmt.Sprintf("reader%02d", r), ClientOptions{
-			OnRemoteOp: func(seq uint64) {
-				if seq < uint64(len(sendNanos)) {
-					lags[r] = append(lags[r], time.Now().UnixNano()-sendNanos[seq])
+	runs := make([]*docRun, docs)
+	for d := range runs {
+		name := fmt.Sprintf("bench.d%d", d)
+		doc := text.New()
+		doc.SetRegistry(newReg())
+		srv.AddHost(NewHost(name, doc, HostOptions{QueueLen: 8192}))
+		w := dial(name, fmt.Sprintf("w%d", d), ClientOptions{})
+		defer w.Close()
+		run := &docRun{w: w, commit: prepare(w), base: w.Confirmed(),
+			sent: make([]int64, b.N+1), lags: make([][]int64, readersPer),
+			applied: make(chan struct{}, readersPer)}
+		runs[d] = run
+		for r := range run.lags {
+			run.lags[r] = make([]int64, 0, b.N)
+			c := dial(name, fmt.Sprintf("r%d-%02d", d, r), ClientOptions{
+				OnRemoteOp: func(seq uint64) {
+					if seq > run.base && seq-run.base <= uint64(b.N) {
+						run.lags[r] = append(run.lags[r], time.Now().UnixNano()-run.sent[seq-run.base])
+						run.applied <- struct{}{}
+					}
+				},
+			})
+			defer c.Close()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if err := c.PumpWait(50 * time.Millisecond); err != nil {
+						failOnce.Do(func() { readerErr = err; close(failed) })
+						return
+					}
 				}
-			},
-		})
-		defer c.Close()
-		wg.Add(1)
+			}()
+		}
+	}
+
+	b.ResetTimer()
+	start := time.Now()
+	errs := make([]error, docs)
+	var wwg sync.WaitGroup
+	for d, run := range runs {
+		wwg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				if err := c.PumpWait(50 * time.Millisecond); err != nil {
+			defer wwg.Done()
+			for i := 1; i <= b.N; i++ {
+				run.sent[i] = time.Now().UnixNano()
+				if err := run.commit(i); err != nil {
+					errs[d] = err
 					return
 				}
-				if t := target.Load(); t != 0 && c.Confirmed() >= t {
+				if err := run.w.Sync(10 * time.Second); err != nil {
+					errs[d] = err
 					return
+				}
+				for range readersPer {
+					select {
+					case <-run.applied:
+					case <-failed:
+						errs[d] = fmt.Errorf("op %d: a reader failed: %w", i, readerErr)
+						return
+					}
 				}
 			}
 		}()
 	}
-	w := dial("writer", ClientOptions{})
-	defer w.Close()
-
-	b.ResetTimer()
-	start := time.Now()
-	for i := 1; i <= b.N; i++ {
-		sendNanos[i] = time.Now().UnixNano()
-		if err := w.Doc().Insert(w.Doc().Len(), "x"); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Sync(10 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-	target.Store(uint64(b.N))
-	wg.Wait()
+	wwg.Wait()
 	elapsed := time.Since(start)
 	b.StopTimer()
+	close(done)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		b.Fatal(err)
+	}
 
 	var all []int64
-	for _, l := range lags {
-		all = append(all, l...)
+	for _, run := range runs {
+		for _, l := range run.lags {
+			all = append(all, l...)
+		}
 	}
-	if len(all) != readers*b.N {
-		b.Fatalf("fan-out incomplete: %d deliveries, want %d", len(all), readers*b.N)
+	if len(all) != docs*readersPer*b.N {
+		b.Fatalf("fan-out incomplete: %d deliveries, want %d", len(all), docs*readersPer*b.N)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	p99 := all[len(all)*99/100]
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "commits/s")
-	b.ReportMetric(float64(readers*b.N)/elapsed.Seconds(), "deliveries/s")
+	b.ReportMetric(float64(docs*b.N)/elapsed.Seconds(), "commits/s")
+	b.ReportMetric(float64(len(all))/elapsed.Seconds(), "deliveries/s")
 	b.ReportMetric(float64(p99), "p99-lag-ns")
+}
+
+// textReg returns a registry holding the text component.
+func textReg() *class.Registry {
+	reg := class.NewRegistry()
+	if err := text.Register(reg); err != nil {
+		panic(err)
+	}
+	return reg
+}
+
+// appendChar commits one inserted character per op: plain text makes no
+// style checkpoints, so each op is one committed seq.
+func appendChar(w *Client) func(int) error {
+	return func(int) error { return w.Doc().Insert(w.Doc().Len(), "x") }
+}
+
+// BenchmarkDocServeFanout measures the serving hot path: one writer
+// commits an op per iteration while 32 reader replicas each receive and
+// apply every committed op.
+func BenchmarkDocServeFanout(b *testing.B) {
+	fanoutBench(b, 1, 32, textReg, appendChar)
 }
 
 // BenchmarkDocServeTableCollab measures the component-typed op path: one
 // writer commits a cell-set per iteration against an embedded table while
 // 16 reader replicas apply every committed table op into their own live
-// table components. Reports commits/s and p99 fan-out lag (writer stamps
-// the op, reader has mutated its replica's cell). Table ops skip the text
-// checkpoint machinery entirely, so this doubles as a regression floor
-// for the registry dispatch overhead.
+// table components. Table ops skip the text checkpoint machinery
+// entirely, so this doubles as a regression floor for the registry
+// dispatch overhead.
 func BenchmarkDocServeTableCollab(b *testing.B) {
-	const readers = 16
-	newReg := func() *class.Registry {
-		reg := class.NewRegistry()
-		if err := text.Register(reg); err != nil {
-			b.Fatal(err)
-		}
+	reg := func() *class.Registry {
+		reg := textReg()
 		if err := table.Register(reg); err != nil {
 			b.Fatal(err)
 		}
 		return reg
 	}
-	doc := text.New()
-	doc.SetRegistry(newReg())
-	h := NewHost("bench.d", doc, HostOptions{QueueLen: 8192})
-	srv := NewServer(HostOptions{QueueLen: 8192})
-	srv.AddHost(h)
-	defer srv.Close()
-
-	dial := func(id string, opts ClientOptions) *Client {
-		cEnd, sEnd := net.Pipe()
-		go srv.HandleConn(sEnd)
-		opts.ClientID = id
-		opts.Registry = newReg()
-		c, err := Connect(cEnd, "bench.d", opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-
-	// seq 1 is the embed op; cell-set i lands at seq i+1. Readers record
-	// lag only for the cell ops.
-	sendNanos := make([]int64, b.N+2)
-	lags := make([][]int64, readers)
-	var target atomic.Uint64
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		r := r
-		lags[r] = make([]int64, 0, b.N)
-		c := dial(fmt.Sprintf("reader%02d", r), ClientOptions{
-			OnRemoteOp: func(seq uint64) {
-				if seq >= 2 && seq < uint64(len(sendNanos)) {
-					lags[r] = append(lags[r], time.Now().UnixNano()-sendNanos[seq])
-				}
-			},
-		})
-		defer c.Close()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if err := c.PumpWait(50 * time.Millisecond); err != nil {
-					return
-				}
-				if t := target.Load(); t != 0 && c.Confirmed() >= t {
-					return
-				}
-			}
-		}()
-	}
-	w := dial("writer", ClientOptions{})
-	defer w.Close()
-	td := table.New(8, 8)
-	if err := w.Embed(0, td, ""); err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Sync(10 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-
-	b.ResetTimer()
-	start := time.Now()
-	for i := 1; i <= b.N; i++ {
-		sendNanos[i+1] = time.Now().UnixNano()
-		if err := td.SetNumber(i%8, (i/8)%8, float64(i)); err != nil {
+	fanoutBench(b, 1, 16, reg, func(w *Client) func(int) error {
+		td := table.New(8, 8)
+		if err := w.Embed(0, td, ""); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Sync(10 * time.Second); err != nil {
 			b.Fatal(err)
 		}
-	}
-	target.Store(uint64(b.N) + 1)
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
-
-	var all []int64
-	for _, l := range lags {
-		all = append(all, l...)
-	}
-	if len(all) != readers*b.N {
-		b.Fatalf("fan-out incomplete: %d deliveries, want %d", len(all), readers*b.N)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	p99 := all[len(all)*99/100]
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "commits/s")
-	b.ReportMetric(float64(readers*b.N)/elapsed.Seconds(), "deliveries/s")
-	b.ReportMetric(float64(p99), "p99-lag-ns")
+		return func(i int) error { return td.SetNumber(i%8, (i/8)%8, float64(i)) }
+	})
 }

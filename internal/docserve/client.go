@@ -45,8 +45,8 @@ type Client struct {
 	docName string
 
 	conn net.Conn
-	br   *bufio.Reader
-	wmu  sync.Mutex // guards bw: owner sends vs heartbeat pings
+	fr   *datastream.LineReader // the connection's frame reader
+	wmu  sync.Mutex             // guards bw: owner sends vs heartbeat pings
 	bw   *bufio.Writer
 
 	doc *text.Data // visible replica: confirmed state + inflight + buffer
@@ -223,7 +223,7 @@ func Connect(conn net.Conn, docName string, opts ClientOptions) (*Client, error)
 		opts:    opts,
 		docName: docName,
 		conn:    conn,
-		br:      bufio.NewReader(conn),
+		fr:      newFrameReader(conn),
 		bw:      bufio.NewWriter(conn),
 	}
 	seed := opts.BackoffSeed
@@ -274,7 +274,7 @@ func (c *Client) Resume(conn net.Conn) error {
 	c.conn = conn
 	c.bw = bufio.NewWriter(conn)
 	c.wmu.Unlock()
-	c.br = bufio.NewReader(conn)
+	c.fr = newFrameReader(conn)
 	if err := c.sendRaw(encodeHelloResume(c.docName, c.opts.ClientID, c.epoch, c.confirmed)); err != nil {
 		return err
 	}
@@ -295,10 +295,9 @@ func (c *Client) catchUp() error {
 	if d <= 0 {
 		d = c.opts.handshakeTimeout
 	}
-	fr := frameReader{br: c.br}
 	for {
 		_ = c.conn.SetReadDeadline(time.Now().Add(d))
-		frame, err := fr.next()
+		frame, err := readFrame(c.fr)
 		if err != nil {
 			return fmt.Errorf("docserve: catch-up read: %w", err)
 		}
@@ -319,10 +318,9 @@ func (c *Client) catchUp() error {
 func (c *Client) startReader() {
 	inbox := make(chan string, inboxLen)
 	c.inbox = inbox
-	conn, br, idle := c.conn, c.br, c.opts.IdleTimeout
+	conn, fr, idle := c.conn, c.fr, c.opts.IdleTimeout
 	go func() {
 		defer close(inbox)
-		fr := frameReader{br: br}
 		var dlSet time.Time
 		for {
 			// Throttled like the server's reader: refresh the deadline only
@@ -334,7 +332,7 @@ func (c *Client) startReader() {
 					dlSet = now
 				}
 			}
-			frame, err := fr.next()
+			frame, err := readFrame(fr)
 			if err != nil {
 				return
 			}

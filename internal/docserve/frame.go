@@ -89,16 +89,20 @@ func (h *Host) frameLineLocked(fb *frameBuf, line []byte) {
 // fits (an empty one included) is one frame at offset 0. Unlike the
 // framing above it uses only local scratch — snapshot framing runs in
 // attach's unlocked window, where escaping a 100 MB document must not
-// stall commits. Each returned frame holds one reference owned by the
-// caller.
+// stall commits. Each chunk is escaped into one reused wire scratch and
+// copied into its frame, so a frame buffer grows once, to its size. Each
+// returned frame holds one reference owned by the caller.
 func buildSnapFrames(epoch, seq uint64, doc []byte, perFrame int) []*frameBuf {
 	frames := make([]*frameBuf, 0, max(1, (len(doc)+perFrame-1)/perFrame))
-	scratch := make([]byte, 0, min(perFrame, len(doc))+64)
+	chunk := min(perFrame, len(doc)) + 64
+	// A document's escaped form is typically about a tenth longer.
+	scratch, wire := make([]byte, 0, chunk), make([]byte, 0, chunk+chunk/4)
 	for off := 0; off == 0 || off < len(doc); off += perFrame {
 		end := min(off+perFrame, len(doc))
-		fb := getFrame()
 		scratch = appendSnapRange(scratch[:0], epoch, seq, len(doc), off, doc[off:end])
-		fb.b = datastream.AppendEscapedBytes(fb.b, scratch)
+		wire = datastream.AppendEscapedBytes(wire[:0], scratch)
+		fb := getFrame()
+		fb.b = append(fb.b, wire...)
 		frames = append(frames, fb)
 	}
 	return frames

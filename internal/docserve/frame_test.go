@@ -2,9 +2,12 @@ package docserve
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"atk/internal/datastream"
+	"atk/internal/persist"
 )
 
 // The frameBuf refcount/pool lifecycle was previously exercised only
@@ -112,4 +115,31 @@ func TestFrameBufDoubleReleasePanics(t *testing.T) {
 		fb.release()
 		fb.release()
 	})
+}
+
+// TestSnapFramesGrowOnce: each snapshot chunk is escaped into a reused
+// scratch and copied into its frame, so a frame buffer is allocated once
+// at its size instead of growing by doubling while the chunk is escaped
+// into it. Building the frames of a 1 MB document at 256 KiB per frame
+// allocates each frame's frameBuf and its buffer, plus a fixed few: the
+// frame list, the range and wire scratch, and the pool's bookkeeping.
+// Escaping straight into each frame made 112 allocations here.
+func TestSnapFramesGrowOnce(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; sb.Len() < 1<<20; i++ {
+		fmt.Fprintf(&sb, "line %05d: the quick brown fox jumps over the lazy dog\n", i)
+	}
+	doc, err := persist.EncodeDocument(newDoc(t, sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perFrame = 256 << 10
+	frames := (len(doc) + perFrame - 1) / perFrame
+	allocs := testing.AllocsPerRun(5, func() {
+		releaseFrames(buildSnapFrames(1, 2, doc, perFrame))
+	})
+	if limit := float64(2*frames + 5); allocs > limit {
+		t.Fatalf("%d frames of a %d-byte document: %.0f allocations, want at most %.0f",
+			frames, len(doc), allocs, limit)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -83,72 +84,32 @@ var (
 	errBadFrame     = errors.New("docserve: malformed frame")
 )
 
-// frameReader reads logical lines: it joins continuation-wrapped physical
-// lines and undoes the escape scheme. The physical-line scratch and the
-// decode scratch live across frames, so a long-lived session reader
-// (server or client) costs one string allocation per frame. Physical
+// newFrameReader returns the frame reader a connection keeps for life:
+// a line reader whose buffer holds what the peer sent ahead. Physical
 // lines are read with bounded memory: a line that keeps going past
-// MaxPhysicalLine aborts with errFrameTooLong before it is buffered — a
-// peer streaming bytes with no newline (pre-hello, unauthenticated) must
-// cost bounded memory, which a whole-line ReadString would not guarantee.
-type frameReader struct {
-	br   *bufio.Reader
-	line []byte // physical-line overflow scratch
-	dec  []byte // decoded logical-line scratch
+// MaxPhysicalLine aborts with errFrameTooLong before it is buffered, so
+// a peer streaming bytes with no newline (pre-hello, unauthenticated)
+// costs bounded memory.
+func newFrameReader(r io.Reader) *datastream.LineReader {
+	return datastream.NewLineReader(bufio.NewReader(r), MaxPhysicalLine)
 }
 
-func (fr *frameReader) next() (string, error) {
-	fr.dec = fr.dec[:0]
-	for {
-		line, err := fr.readLine()
-		if err != nil {
-			return "", err
-		}
-		var cont bool
-		fr.dec, cont, err = datastream.DecodeAppend(fr.dec, line)
-		if err != nil {
-			return "", fmt.Errorf("%w: %v", errBadFrame, err)
-		}
-		if len(fr.dec) > MaxFrameBytes {
-			return "", errFrameTooLong
-		}
-		if !cont {
-			return string(fr.dec), nil
-		}
+// readFrame reads one frame: a logical line of at most MaxFrameBytes,
+// its escapes undone. A connection that closes inside a frame is an
+// error, io.ErrUnexpectedEOF; one that closes between frames is io.EOF.
+func readFrame(fr *datastream.LineReader) (string, error) {
+	b, err := fr.ReadLogical(MaxFrameBytes)
+	switch {
+	case err == nil:
+		return string(b), nil
+	case errors.Is(err, datastream.ErrLimit):
+		return "", errFrameTooLong
+	case errors.Is(err, datastream.ErrSyntax):
+		return "", fmt.Errorf("%w: %v", errBadFrame, err)
+	case err == datastream.ErrNoNewline:
+		return "", io.ErrUnexpectedEOF
 	}
-}
-
-// readLine reads one newline-terminated physical line of at most
-// MaxPhysicalLine bytes. The returned slice aliases either the bufio
-// buffer (the common whole-line-in-buffer case — no copy) or fr.line; it
-// is valid until the next readLine call.
-func (fr *frameReader) readLine() ([]byte, error) {
-	chunk, err := fr.br.ReadSlice('\n')
-	if err == nil {
-		if len(chunk)-1 > MaxPhysicalLine {
-			return nil, errFrameTooLong
-		}
-		return chunk[:len(chunk)-1], nil
-	}
-	fr.line = append(fr.line[:0], chunk...)
-	for {
-		switch err {
-		case bufio.ErrBufferFull:
-			if len(fr.line) > MaxPhysicalLine {
-				return nil, errFrameTooLong
-			}
-		case nil:
-			fr.line = fr.line[:len(fr.line)-1]
-			if len(fr.line) > MaxPhysicalLine {
-				return nil, errFrameTooLong
-			}
-			return fr.line, nil
-		default:
-			return nil, err
-		}
-		chunk, err = fr.br.ReadSlice('\n')
-		fr.line = append(fr.line, chunk...)
-	}
+	return "", err
 }
 
 // nameOK restricts document and client names to a safe token alphabet so

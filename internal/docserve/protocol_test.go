@@ -1,8 +1,8 @@
 package docserve
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"strconv"
 	"strings"
@@ -11,10 +11,13 @@ import (
 	"atk/internal/datastream"
 )
 
-// readerOf returns the production frame reader over raw wire bytes.
-func readerOf(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReader(r)}
-}
+// testFrames reads frames from raw wire bytes through the production
+// frame reader.
+type testFrames struct{ fr *datastream.LineReader }
+
+func readerOf(r io.Reader) testFrames { return testFrames{newFrameReader(r)} }
+
+func (f testFrames) next() (string, error) { return readFrame(f.fr) }
 
 func roundTripFrame(t *testing.T, line string) string {
 	t.Helper()
@@ -98,6 +101,38 @@ func TestReadFrameBoundsEndlessLine(t *testing.T) {
 	}
 	if max := MaxPhysicalLine + 64*1024; src.consumed > max {
 		t.Fatalf("endless line consumed %d bytes before aborting (cap %d)", src.consumed, max)
+	}
+}
+
+// TestReadFramePhysicalBound: MaxPhysicalLine counts a physical line
+// without its newline. A line of exactly the bound is a frame; one byte
+// more is errFrameTooLong.
+func TestReadFramePhysicalBound(t *testing.T) {
+	exact := strings.Repeat("x", MaxPhysicalLine)
+	if got, err := readerOf(strings.NewReader(exact + "\n")).next(); err != nil || got != exact {
+		t.Fatalf("line of exactly the bound: %d bytes, %v", len(got), err)
+	}
+	if _, err := readerOf(strings.NewReader(exact + "x\n")).next(); !errors.Is(err, errFrameTooLong) {
+		t.Fatalf("line of the bound plus one: %v, want errFrameTooLong", err)
+	}
+}
+
+// TestReadFrameCutOff: a connection that closes inside a frame, in its
+// last physical line or after a continuation, is an error; one that
+// closes between frames is io.EOF.
+func TestReadFrameCutOff(t *testing.T) {
+	for _, raw := range []string{"ping 1", "ping \\\n", "ping \\\n1"} {
+		r := readerOf(strings.NewReader(raw))
+		if _, err := r.next(); err == nil || err == io.EOF {
+			t.Fatalf("frame cut off as %q: %v, want an error other than EOF", raw, err)
+		}
+	}
+	r := readerOf(strings.NewReader("ping 1\n"))
+	if _, err := r.next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.next(); err != io.EOF {
+		t.Fatalf("close between frames: %v, want EOF", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -378,131 +377,9 @@ func TestSoakMultiDocument(t *testing.T) {
 }
 
 // BenchmarkDocServeMultiDoc measures the sharded serving path: 8 documents
-// on one server, each with its own writer committing as fast as acks allow
-// and 4 reader replicas applying every committed op. Reported aggregate
-// deliveries/s and p99 lag are across all documents; b.N counts commits
-// per document.
+// on one server, each with its own writer and 4 reader replicas applying
+// every committed op. Reported commits/s, deliveries/s and p99 lag are
+// across all documents; b.N counts commits per document.
 func BenchmarkDocServeMultiDoc(b *testing.B) {
-	const (
-		docs       = 8
-		readersPer = 4
-	)
-	newReg := func() *class.Registry {
-		reg := class.NewRegistry()
-		if err := text.Register(reg); err != nil {
-			b.Fatal(err)
-		}
-		return reg
-	}
-	srv := NewServer(HostOptions{QueueLen: 8192})
-	for d := 0; d < docs; d++ {
-		doc := text.New()
-		doc.SetRegistry(newReg())
-		srv.AddHost(NewHost(fmt.Sprintf("bench.d%d", d), doc, HostOptions{QueueLen: 8192}))
-	}
-	defer srv.Close()
-
-	dial := func(doc, id string, opts ClientOptions) *Client {
-		cEnd, sEnd := net.Pipe()
-		go srv.HandleConn(sEnd)
-		opts.ClientID = id
-		opts.Registry = newReg()
-		c, err := Connect(cEnd, doc, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-
-	// sendNanos[d][seq] is stamped by doc d's writer just before the commit
-	// that will be assigned seq (the writer is its document's only
-	// committer and plain text produces no style checkpoints, so each
-	// document's seq tracks its writer's iteration independently).
-	sendNanos := make([][]int64, docs)
-	lags := make([][][]int64, docs)
-	var target atomic.Uint64
-	var wg sync.WaitGroup
-	for d := 0; d < docs; d++ {
-		d := d
-		sendNanos[d] = make([]int64, b.N+1)
-		lags[d] = make([][]int64, readersPer)
-		for r := 0; r < readersPer; r++ {
-			r := r
-			lags[d][r] = make([]int64, 0, b.N)
-			c := dial(fmt.Sprintf("bench.d%d", d), fmt.Sprintf("r%d-%02d", d, r), ClientOptions{
-				OnRemoteOp: func(seq uint64) {
-					if seq < uint64(len(sendNanos[d])) {
-						lags[d][r] = append(lags[d][r], time.Now().UnixNano()-sendNanos[d][seq])
-					}
-				},
-			})
-			defer c.Close()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if err := c.PumpWait(50 * time.Millisecond); err != nil {
-						return
-					}
-					if t := target.Load(); t != 0 && c.Confirmed() >= t {
-						return
-					}
-				}
-			}()
-		}
-	}
-	writers := make([]*Client, docs)
-	for d := 0; d < docs; d++ {
-		writers[d] = dial(fmt.Sprintf("bench.d%d", d), fmt.Sprintf("w%d", d), ClientOptions{})
-		defer writers[d].Close()
-	}
-
-	b.ResetTimer()
-	start := time.Now()
-	errs := make([]error, docs)
-	var wwg sync.WaitGroup
-	for d := 0; d < docs; d++ {
-		d := d
-		wwg.Add(1)
-		go func() {
-			defer wwg.Done()
-			w := writers[d]
-			for i := 1; i <= b.N; i++ {
-				sendNanos[d][i] = time.Now().UnixNano()
-				if err := w.Doc().Insert(w.Doc().Len(), "x"); err != nil {
-					errs[d] = err
-					return
-				}
-				if err := w.Sync(10 * time.Second); err != nil {
-					errs[d] = err
-					return
-				}
-			}
-		}()
-	}
-	wwg.Wait()
-	target.Store(uint64(b.N))
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
-	for d, err := range errs {
-		if err != nil {
-			b.Fatalf("writer %d: %v", d, err)
-		}
-	}
-
-	var all []int64
-	for d := range lags {
-		for _, l := range lags[d] {
-			all = append(all, l...)
-		}
-	}
-	if len(all) != docs*readersPer*b.N {
-		b.Fatalf("fan-out incomplete: %d deliveries, want %d", len(all), docs*readersPer*b.N)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	p99 := all[len(all)*99/100]
-	b.ReportMetric(float64(docs*b.N)/elapsed.Seconds(), "commits/s")
-	b.ReportMetric(float64(len(all))/elapsed.Seconds(), "deliveries/s")
-	b.ReportMetric(float64(p99), "p99-lag-ns")
+	fanoutBench(b, 8, 4, textReg, appendChar)
 }

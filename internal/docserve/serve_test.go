@@ -668,7 +668,7 @@ func TestServeSupersededSession(t *testing.T) {
 	h := NewHost("d", newDoc(t, "base\n"), HostOptions{})
 	srv := NewServer(HostOptions{})
 	srv.AddHost(h)
-	attach := func() *frameReader {
+	attach := func() testFrames {
 		cEnd, sEnd := net.Pipe()
 		go srv.HandleConn(sEnd)
 		t.Cleanup(func() { _ = cEnd.Close() })

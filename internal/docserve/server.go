@@ -1,7 +1,6 @@
 package docserve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -102,7 +101,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // HandleConn runs one connection to completion (exported so tests and
 // in-process transports can hand the server a net.Pipe end directly).
 func (s *Server) HandleConn(conn net.Conn) {
-	fr := &frameReader{br: bufio.NewReader(conn)}
+	fr := newFrameReader(conn)
 	reject := func(reason string) {
 		s.rejected.Add(1)
 		_ = conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
@@ -112,7 +111,7 @@ func (s *Server) HandleConn(conn net.Conn) {
 	if s.opts.IdleTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
-	frame, err := fr.next()
+	frame, err := readFrame(fr)
 	if err != nil {
 		s.rejected.Add(1)
 		_ = conn.Close()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"atk/internal/datastream"
 	"atk/internal/persist"
 )
 
@@ -238,7 +239,7 @@ func (h *Host) opsSinceLocked(since uint64) int {
 // loop in the calling goroutine. fr is the reader the hello came through,
 // so frames the client sent right behind the hello are already buffered
 // in it. The caller owns conn no more.
-func (s *session) serve(fr *frameReader) {
+func (s *session) serve(fr *datastream.LineReader) {
 	go s.writeLoop()
 	var dlSet time.Time
 	for {
@@ -252,7 +253,7 @@ func (s *session) serve(fr *frameReader) {
 				dlSet = now
 			}
 		}
-		frame, err := fr.next()
+		frame, err := readFrame(fr)
 		if err != nil {
 			s.kill("read: "+err.Error(), false)
 			return

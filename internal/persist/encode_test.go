@@ -485,7 +485,9 @@ func TestFileCRCIsTheFileBytes(t *testing.T) {
 // FuzzEncodeEdited applies a fuzzed edit script to a fuzzed text and
 // checks the encoding two ways: against the old path's bytes, and by
 // re-reading it strictly. Parsed documents hold one piece; the script's
-// edits are what make the encoder cross piece boundaries.
+// edits are what make the encoder cross piece boundaries. A document
+// without embeds is also saved and opened streamed, which must read
+// back what the eager open reads.
 func FuzzEncodeEdited(f *testing.F) {
 	f.Add("hello\nworld", []byte{0, 3, 200, 1, 5, 100, 2, 0, 255, 3, 9, 40})
 	f.Add(strings.Repeat("long line ", 20)+"\n\\tab\t\x01é𝔘\n", []byte{0, 40, 128, 0, 7, 3, 1, 20, 64, 0, 90, 250})
@@ -530,6 +532,30 @@ func FuzzEncodeEdited(f *testing.F) {
 		if back.String() != d.String() || fmt.Sprint(back.Runs()) != fmt.Sprint(d.Runs()) ||
 			len(back.Embeds()) != len(d.Embeds()) {
 			t.Fatalf("re-read differs: %q %v, want %q %v", back.String(), back.Runs(), d.String(), d.Runs())
+		}
+		if len(d.Embeds()) > 0 {
+			return
+		}
+		mem := NewMemFS()
+		if err := SaveDocument(mem, "doc.d", d); err != nil {
+			t.Fatal(err)
+		}
+		eager, err := Load(mem, "doc.d", reg, datastream.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eager.Close()
+		streamed, err := LoadStreaming(mem, "doc.d", reg, datastream.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer streamed.Close()
+		if err := streamed.Doc.LoadAll(); err != nil {
+			t.Fatalf("streamed load: %v\n%q", err, got)
+		}
+		if streamed.Doc.String() != eager.Doc.String() || fmt.Sprint(streamed.Doc.Runs()) != fmt.Sprint(eager.Doc.Runs()) {
+			t.Fatalf("streamed open differs: %q %v, eager %q %v",
+				streamed.Doc.String(), streamed.Doc.Runs(), eager.Doc.String(), eager.Doc.Runs())
 		}
 	})
 }

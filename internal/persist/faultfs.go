@@ -3,7 +3,6 @@ package persist
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -204,18 +203,6 @@ func (h *faultFile) Read(p []byte) (int, error) {
 		return 0, ErrCrashed
 	}
 	return h.inner.Read(p)
-}
-
-// Seek passes through to the inner file when it supports seeking (reads
-// are not state-changing ops, but they still fail after a crash).
-func (h *faultFile) Seek(offset int64, whence int) (int64, error) {
-	if h.fs.Crashed() {
-		return 0, ErrCrashed
-	}
-	if s, ok := h.inner.(io.Seeker); ok {
-		return s.Seek(offset, whence)
-	}
-	return 0, fmt.Errorf("persist: %s: seek unsupported", h.name)
 }
 
 func (h *faultFile) Write(p []byte) (int, error) {

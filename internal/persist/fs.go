@@ -13,6 +13,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -78,14 +79,20 @@ func (osFS) SyncDir(dir string) error {
 	return err
 }
 
-// ReadFile reads the whole of name through fsys.
+// ReadFile reads the whole of name through fsys into a buffer sized
+// from the file, then reads on to EOF, so a file that grows meanwhile is
+// still read whole.
 func ReadFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	size, _ := fsys.Stat(name) // without a size the buffer just grows
+	var buf bytes.Buffer
+	buf.Grow(int(size) + bytes.MinRead) // the EOF read needs room too
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
 }
 
 // Exists reports whether name exists in fsys.

@@ -167,35 +167,6 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Seek repositions a read handle (write handles always append). MemFS
-// supports it so the streaming open path is testable in memory.
-func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
-	if h.closed {
-		return 0, os.ErrClosed
-	}
-	if h.skipRead {
-		return 0, os.ErrInvalid
-	}
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = int64(h.off) + offset
-	case io.SeekEnd:
-		abs = int64(len(h.ino.data)) + offset
-	default:
-		return 0, os.ErrInvalid
-	}
-	if abs < 0 {
-		return 0, os.ErrInvalid
-	}
-	h.off = int(abs)
-	return abs, nil
-}
-
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()

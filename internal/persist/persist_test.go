@@ -110,6 +110,53 @@ func TestAtomicWriteEveryCrashPointIsOldOrNew(t *testing.T) {
 	}
 }
 
+// --- ReadFile ---
+
+// TestReadFileSizesItsBuffer: ReadFile allocates its buffer once, at the
+// file's size, instead of growing it by doubling as io.ReadAll does (28
+// allocations here), and still reads a file that grew after Stat whole.
+func TestReadFileSizesItsBuffer(t *testing.T) {
+	mem := NewMemFS()
+	data := []byte(strings.Repeat("0123456789abcdef", 1<<16)) // 1 MiB
+	if err := AtomicWrite(mem, "f", func(w io.Writer) error { _, err := w.Write(data); return err }); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		var err error
+		if got, err = ReadFile(mem, "f"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if string(got) != string(data) {
+		t.Fatalf("read %d bytes, want the %d written", len(got), len(data))
+	}
+	if allocs > 3 {
+		t.Fatalf("reading a 1 MiB file made %v allocations, want at most 3 (the open included)", allocs)
+	}
+	// A file that grows between Stat and EOF is read whole.
+	grow := &growFS{MemFS: mem, extra: []byte("more")}
+	if got, err := ReadFile(grow, "f"); err != nil || string(got) != string(data)+"more" {
+		t.Fatalf("grown file: read %d bytes (%v), want %d", len(got), err, len(data)+4)
+	}
+}
+
+// growFS appends extra to a file right after reporting its size.
+type growFS struct {
+	*MemFS
+	extra []byte
+}
+
+func (g *growFS) Stat(name string) (int64, error) {
+	size, err := g.MemFS.Stat(name)
+	if err == nil {
+		f, _ := g.MemFS.OpenAppend(name)
+		_, _ = f.Write(g.extra)
+		_ = f.Close()
+	}
+	return size, err
+}
+
 // --- MemFS durability model ---
 
 func TestMemFSUnsyncedDataDiesInCrash(t *testing.T) {

@@ -1,11 +1,13 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -104,36 +106,22 @@ func ReadRecordFile(fsys FS, path, magic string) ([]string, error) {
 // of the valid prefix and, when anything follows that prefix, an error
 // describing the first damage.
 func parseRecords(b []byte, magic string) ([]string, error) {
-	nl := bytes.IndexByte(b, '\n')
-	if nl < 0 || string(b[:nl]) != magic {
+	lr := datastream.NewLineReader(bufio.NewReader(bytes.NewReader(b)), math.MaxInt)
+	if line, err := lr.ReadLine(); err != nil || string(line) != magic {
 		return nil, errors.New("bad magic line")
 	}
-	b = b[nl+1:]
 	var payloads []string
-	var logical []byte
-	for len(b) > 0 {
-		// One logical line: physical lines joined while continuations ask
-		// for more. A missing final newline is a torn append.
-		logical = logical[:0]
-		for {
-			nl = bytes.IndexByte(b, '\n')
-			if nl < 0 {
-				return payloads, errors.New("torn record at end of file (no newline)")
-			}
-			line := b[:nl]
-			b = b[nl+1:]
-			var cont bool
-			var err error
-			logical, cont, err = datastream.DecodeAppend(logical, line)
-			if err != nil {
-				return payloads, fmt.Errorf("undecodable record where seq %d expected: %v", len(payloads), err)
-			}
-			if !cont {
-				break
-			}
-			if len(b) == 0 {
-				return payloads, errors.New("continuation runs off end of file")
-			}
+	for {
+		logical, err := lr.ReadLogical(math.MaxInt)
+		switch {
+		case err == io.EOF:
+			return payloads, nil
+		case err == datastream.ErrNoNewline:
+			return payloads, errors.New("torn record at end of file (no newline)")
+		case err == io.ErrUnexpectedEOF:
+			return payloads, errors.New("continuation runs off end of file")
+		case err != nil:
+			return payloads, fmt.Errorf("undecodable record where seq %d expected: %v", len(payloads), err)
 		}
 		seq, payload, ok := parseRecord(string(logical))
 		if !ok || seq != uint64(len(payloads)) {
@@ -141,7 +129,6 @@ func parseRecords(b []byte, magic string) ([]string, error) {
 		}
 		payloads = append(payloads, payload)
 	}
-	return payloads, nil
 }
 
 // parseRecord splits "<seq> <crc> <payload>" and verifies the CRC.

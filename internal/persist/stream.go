@@ -1,9 +1,11 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 
 	"atk/internal/class"
 	"atk/internal/core"
@@ -24,14 +26,13 @@ import (
 //
 // Streaming is an optimization, never a different answer. Anything that
 // prevents it falls back to the eager path silently: no offset index, an
-// index that fails validation, a non-streamable document shape, a
-// filesystem without seekable reads, or a leftover journal (recovery
-// replays edits over the document and needs all of it). The fallback is
-// the one rule every corruption case reduces to — a bad index can cost
-// time, but it cannot change bytes.
+// index that fails validation, a non-streamable document shape, or a
+// leftover journal (recovery replays edits over the document and needs
+// all of it). The fallback is the one rule every corruption case
+// reduces to — a bad index can cost time, but it cannot change bytes.
 
 // tailChunkBytes is how much raw file the tail loader decodes per
-// LoadMore step.
+// LoadMore step, and the size of its read buffer.
 const tailChunkBytes = 64 << 10
 
 // LoadStreaming opens the document at path without loading its content
@@ -61,11 +62,6 @@ func tryLoadStreaming(fsys FS, path string, reg *class.Registry, mode datastream
 	if err != nil {
 		return nil
 	}
-	rs, ok := f.(io.ReadSeeker)
-	if !ok {
-		_ = f.Close()
-		return nil
-	}
 	// Parse the head — everything before the content — as a complete
 	// document by appending the end marker the real file keeps ContentEnd
 	// bytes later. ContentStart is a line start, so the prefix is
@@ -88,19 +84,15 @@ func tryLoadStreaming(fsys FS, path string, reg *class.Registry, mode datastream
 		return nil
 	}
 	doc.SetRegistry(reg)
-	sr, err := datastream.NewStreamReaderSize(rs, tailChunkBytes)
-	if err != nil {
-		_ = f.Close()
-		return nil
-	}
-	if _, err := sr.Seek(idx.ContentStart, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil
-	}
+	// The head read leaves the file at ContentStart: the tail reads on
+	// from there, front to back, and stops at ContentEnd.
+	content := &io.LimitedReader{R: f, N: idx.ContentEnd - idx.ContentStart}
+	br := bufio.NewReaderSize(content, tailChunkBytes)
 	doc.SetTailLoader(&tailLoader{
 		f:          f,
-		sr:         sr,
-		end:        idx.ContentEnd,
+		content:    content,
+		br:         br,
+		lr:         datastream.NewLineReader(br, datastream.DefaultLimits.MaxLineBytes),
 		totalRunes: idx.ContentRunes(),
 		totalLines: idx.Lines,
 	})
@@ -112,104 +104,73 @@ func tryLoadStreaming(fsys FS, path string, reg *class.Registry, mode datastream
 	return df
 }
 
-// tailLoader feeds a document's deferred content from the open file: raw
-// bytes through a StreamReader, split into physical lines, unescaped,
-// and joined into logical lines exactly as the eager parser would have.
+// tailLoader feeds a document's deferred content from the open file,
+// reading its logical lines through a line reader exactly as the eager
+// parser would have.
 type tailLoader struct {
-	f   File // keeps the document file open; Close releases it
-	sr  *datastream.StreamReader
-	end int64 // file offset of the \enddata line (content stops here)
-
-	raw       []byte // carry: bytes of an incomplete physical line
-	logical   []byte // carry: decoded bytes of an incomplete logical line
-	inLogical bool
+	f       File              // keeps the document file open; Close releases it
+	content *io.LimitedReader // the file from ContentStart to ContentEnd
+	br      *bufio.Reader     // reads content a chunk at a time
+	lr      *datastream.LineReader
 
 	linesOut   int // logical lines fully delivered
 	runesOut   int // content runes delivered (join newlines included)
 	totalRunes int
 	totalLines int
 
-	buf []byte
 	err error
 }
 
-// Next decodes up to one raw chunk into content runes. It may loop past
-// chunks that complete no logical line (possible only with pathological
-// continuation runs) so callers never see an empty non-final chunk.
+// lineBuffered reports whether the read buffer holds a whole physical
+// line, which can then be read without reading the file.
+func (t *tailLoader) lineBuffered() bool {
+	b, _ := t.br.Peek(t.br.Buffered()) // what is buffered can always be peeked
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// Next decodes the logical lines the read buffer holds, reading a chunk
+// of the file first if it holds no whole line. It stops before a line
+// that is not wholly buffered, or after one whose continuation had to
+// read the file, so one step reads about one chunk. A line the content
+// region cuts off is not delivered: it latches an error and leaves the
+// document at the last whole line.
 func (t *tailLoader) Next() ([]rune, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
 	var out []rune
-	for {
-		remaining := t.end - t.sr.Offset()
-		if remaining <= 0 {
-			if len(t.raw) > 0 || t.inLogical {
-				// The region ended mid-line: the index disagrees with the
-				// file. Deliver nothing partial; latch and leave the
-				// document truncated at the last whole logical line.
-				t.err = fmt.Errorf("persist: streamed content ends mid-line (offset index out of step with file)")
-				return out, t.err
-			}
+	for len(out) == 0 || t.lineBuffered() {
+		unread := t.content.N
+		line, err := t.lr.ReadLogical(math.MaxInt)
+		switch {
+		case err == nil:
+		case err == io.EOF:
 			t.err = io.EOF
-			return out, io.EOF
-		}
-		n := int(min(int64(tailChunkBytes), remaining))
-		if cap(t.buf) < n {
-			t.buf = make([]byte, n)
-		}
-		buf := t.buf[:n]
-		if _, err := io.ReadFull(t.sr, buf); err != nil {
+		case err == datastream.ErrNoNewline, err == io.ErrUnexpectedEOF:
+			t.err = fmt.Errorf("persist: streamed content ends mid-line (offset index out of step with file)")
+		default: // an undecodable or overlong line, or the file failed
 			t.err = fmt.Errorf("persist: reading streamed content: %w", err)
+		}
+		if t.err != nil {
 			return out, t.err
 		}
-		t.raw = append(t.raw, buf...)
-		consumed := 0
-		for {
-			nl := bytes.IndexByte(t.raw[consumed:], '\n')
-			if nl < 0 {
-				break
-			}
-			line := t.raw[consumed : consumed+nl]
-			consumed += nl + 1
-			if err := t.feedLine(line, &out); err != nil {
-				t.err = err
-				return out, err
-			}
+		// The document's loaded prefix holds no content, so the first
+		// logical line delivered is the first line of the document: no
+		// join newline.
+		n := len(out)
+		if t.linesOut > 0 {
+			out = append(out, '\n')
 		}
-		t.raw = append(t.raw[:0], t.raw[consumed:]...)
-		if len(out) > 0 {
-			return out, nil
+		for _, r := range string(line) {
+			out = append(out, r)
+		}
+		t.runesOut += len(out) - n
+		t.linesOut++
+		if n > 0 && t.content.N != unread {
+			break
 		}
 	}
-}
-
-// feedLine decodes one physical line, appending any completed logical
-// line (with its join newline) onto out.
-func (t *tailLoader) feedLine(line []byte, out *[]rune) error {
-	var cont bool
-	var err error
-	t.logical, cont, err = datastream.DecodeAppend(t.logical, line)
-	if err != nil {
-		return fmt.Errorf("persist: undecodable streamed content line: %w", err)
-	}
-	t.inLogical = cont
-	if cont {
-		return nil
-	}
-	// The document's loaded prefix holds no content, so the first logical
-	// line delivered is the first line of the document: no join newline.
-	if t.linesOut > 0 {
-		*out = append(*out, '\n')
-		t.runesOut++
-	}
-	for _, r := range string(t.logical) {
-		*out = append(*out, r)
-		t.runesOut++
-	}
-	t.linesOut++
-	t.logical = t.logical[:0]
-	return nil
+	return out, nil
 }
 
 func (t *tailLoader) RemainingRunes() int {

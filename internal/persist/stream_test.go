@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -349,6 +351,96 @@ func TestCorruptIndexFallsBackToFullParse(t *testing.T) {
 				t.Fatalf("%s: corrupt index changed the opened bytes", tc.name)
 			}
 		})
+	}
+}
+
+// readCountFS counts the bytes read from one of its files.
+type readCountFS struct {
+	FS
+	name string
+	read int
+}
+
+func (c *readCountFS) Open(name string) (File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil || name != c.name {
+		return f, err
+	}
+	return &readCountFile{f, c}, nil
+}
+
+type readCountFile struct {
+	File
+	fs *readCountFS
+}
+
+func (f *readCountFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.fs.read += n
+	return n, err
+}
+
+// TestStreamedTailLineBound: the streamed tail bounds a physical line as
+// the eager Reader does, at 1 MiB without its newline. A line of exactly
+// the bound loads as the eager open does; one byte more latches an
+// ErrLimit TailErr; and a far longer line latches it having read about
+// the bound of it, not the whole line.
+func TestStreamedTailLineBound(t *testing.T) {
+	const bound = 1 << 20
+	content := strings.Repeat(strings.Repeat("x", 78)+"\n", 50000) // 3.95 MB
+	for _, lineLen := range []int{bound, bound + 1, 3 * bound} {
+		mem := NewMemFS()
+		if err := SaveDocument(mem, "doc.d", text.NewString(content)); err != nil {
+			t.Fatal(err)
+		}
+		// Past the head the index checks, join lines into one physical
+		// line of lineLen bytes; the file keeps its length.
+		b, err := ReadFile(mem, "doc.d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := 8192 + bytes.IndexByte(b[8192:], '\n') + 1
+		for i := start; i < start+lineLen; i++ {
+			b[i] = 'x'
+		}
+		b[start+lineLen] = '\n'
+		f, err := mem.Create("doc.d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		fsys := &readCountFS{FS: mem, name: "doc.d"}
+		reg := newReg(t)
+		df, err := LoadStreaming(fsys, "doc.d", reg, datastream.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !df.Doc.Pending() {
+			t.Fatalf("%d-byte line: the open did not stream", lineLen)
+		}
+		fsys.read = 0
+		err = df.Doc.LoadAll()
+		if lineLen == bound {
+			if err != nil {
+				t.Fatalf("line of exactly the bound: %v", err)
+			}
+			if docText(df.Doc) != docText(load(t, mem, reg).Doc) {
+				t.Fatal("line of exactly the bound: streamed and eager opens disagree")
+			}
+			continue
+		}
+		if err == nil || !errors.Is(df.Doc.TailErr(), datastream.ErrLimit) {
+			t.Fatalf("%d-byte line: LoadAll %v, TailErr %v; want ErrLimit", lineLen, err, df.Doc.TailErr())
+		}
+		if most := start + bound + 2*tailChunkBytes; fsys.read > most {
+			t.Fatalf("%d-byte line: read %d bytes of the file, want at most %d", lineLen, fsys.read, most)
+		}
 	}
 }
 

@@ -160,7 +160,9 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 		case datastream.TokText:
 			// Join contiguous text tokens with newlines (the writer's
 			// contract), taking care at chunk boundaries.
-			content = append(content, []rune(tok.Text)...)
+			for _, r := range tok.Text {
+				content = append(content, r)
+			}
 			if next, err := r.Peek(); err == nil && next.Kind == datastream.TokText {
 				content = append(content, '\n')
 			}

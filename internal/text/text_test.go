@@ -1,6 +1,7 @@
 package text
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -412,6 +413,30 @@ func readDoc(t *testing.T, reg *class.Registry, s string) *Data {
 		t.Fatalf("got %T", obj)
 	}
 	return d
+}
+
+// TestDecodeAllocsPerLine: a strict decode allocates about once per
+// logical line, for the token's text: the reader copies no physical
+// line, Peek stores its token by value, and ReadPayload appends each
+// line's runes in place. With a copy at each of those steps this
+// 2,500-line, 115 KB document cost about five allocations per line.
+func TestDecodeAllocsPerLine(t *testing.T) {
+	const lines = 2500
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&sb, "line %04d of the decoded document, some words\n", i)
+	}
+	enc := writeDoc(t, NewString(sb.String()))
+	reg := testReg(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := core.ReadObject(datastream.NewReader(strings.NewReader(enc)), reg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perLine := allocs / lines; perLine >= 1.5 {
+		t.Fatalf("strict decode of %d lines (%d bytes): %.2f allocations per line, want < 1.5",
+			lines, len(enc), perLine)
+	}
 }
 
 func TestStreamRoundTripPlain(t *testing.T) {

@@ -11,17 +11,20 @@ test:
 	$(GO) test ./...
 
 # verify is the tier-1 gate: everything must pass before a change lands.
-# It builds and vets every package, runs the full test suite under the
+# It checks that every tracked Go file is gofmt-clean (listing tracked
+# files keeps the Go cache in .bench_build/ out of the check), builds and
+# vets every package, runs the full test suite under the
 # race detector (which includes the golden-frame comparisons), reruns the
 # docserve soak and table-collaboration tests 20 times under it (their
 # interleavings vary run to run, so one pass proves little),
 # smoke-fuzzes the datastream reader and its line reader, the
 # write→read→write round trip through the full component registry, the
 # streamed encoding of edited documents, and the repaint equivalence
-# oracle,
+# oracle on both of its fixtures,
 # holds the committed benchmark numbers to their gates, and runs the
 # end-to-end benchmark (bench-e2e).
 verify:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -31,7 +34,8 @@ verify:
 	$(GO) test -fuzz=FuzzLineReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=10s ./internal/persist
-	$(GO) test -fuzz=FuzzRepaint -fuzztime=10s .
+	$(GO) test -fuzz='^FuzzRepaint$$' -fuzztime=10s .
+	$(GO) test -fuzz=FuzzRepaintWrapped -fuzztime=10s .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=10s ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=10s ./internal/ops
@@ -56,7 +60,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzLineReader -fuzztime=$(FUZZTIME) ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=$(FUZZTIME) ./internal/persist
-	$(GO) test -fuzz=FuzzRepaint -fuzztime=$(FUZZTIME) .
+	$(GO) test -fuzz='^FuzzRepaint$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -fuzz=FuzzRepaintWrapped -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=$(FUZZTIME) ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=$(FUZZTIME) ./internal/ops
@@ -66,10 +71,10 @@ generate:
 	$(GO) generate ./...
 
 # bench runs the streaming large-document suite, then every experiment
-# benchmark, recording the text-indexing results (entries plus derived
-# speedups) in BENCH_text.json.
+# benchmark, recording the text-indexing and incremental-repaint results
+# (entries plus derived speedups) in BENCH_text.json.
 bench: bench-stream
-	$(GO) test -bench=. -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_text.json -filter E9TextIndexing
+	$(GO) test -bench=. -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_text.json -filter E9TextIndexing,IncrementalEdit
 
 # bench-docserve measures the replication server's serving paths — the
 # single-document fan-out bench (one writer, 32 reader replicas) and the

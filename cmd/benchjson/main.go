@@ -1,18 +1,19 @@
 // Command benchjson filters `go test -bench` output into a JSON record.
 // It reads the benchmark stream on stdin, echoes it unchanged to stdout
 // (so it sits in a pipeline without hiding results), and writes the
-// parsed entries whose name contains -filter to -out. When the text
-// indexing pairs are present it also derives the headline ratios —
-// indexed line lookup versus the rune-walk baseline, viewport-lazy
-// relayout versus full relayout, and a keystroke's cost in a 200,000-line
-// document over its cost in a 2,000-line one.
+// parsed entries whose name contains one of -filter's comma-separated
+// substrings to -out. When the text indexing pairs are present it also
+// derives the headline ratios — indexed line lookup versus the rune-walk
+// baseline, viewport-lazy relayout versus full relayout, a keystroke's
+// cost in a 200,000-line document over its cost in a 2,000-line one, and
+// a whole-view repaint over a damage-region repaint.
 //
 // Repeated occurrences of the same benchmark name (go test -count=N)
 // are merged into one entry carrying the mean, the rerun count, and the
 // cross-rerun sample stddev of ns/op and each custom metric — the
 // variance cmd/slogate's gates use to tell a regression from noise.
 //
-//	go test -bench=. -benchmem -count=3 . | go run ./cmd/benchjson -out BENCH_text.json -filter E9TextIndexing
+//	go test -bench=. -benchmem -count=3 . | go run ./cmd/benchjson -out BENCH_text.json -filter E9TextIndexing,IncrementalEdit
 package main
 
 import (
@@ -54,10 +55,12 @@ type report struct {
 	Speedups   map[string]float64 `json:"speedups,omitempty"`
 }
 
-// speedupPairs maps a derived-metric name to [baseline, improved] name
-// suffixes; the ratio baseline/improved of their ns/op lands in the
-// speedups map. The *_200k_over_2k pairs divide a large document's cost
-// by a small one's, so there near 1 is the goal.
+// speedupPairs maps a derived-metric name to [baseline, improved]
+// benchmark names, each either the last element of a sub-benchmark's name
+// or the whole name, without the -P cpu suffix; the ratio
+// baseline/improved of their ns/op lands in the speedups map. The
+// *_200k_over_2k pairs divide a large document's cost by a small one's,
+// so there near 1 is the goal.
 var speedupPairs = map[string][2]string{
 	"line_start_end_of_doc":      {"LineStartScanBaseline", "LineStartIndexed"},
 	"relayout_10k_lines":         {"RelayoutFull10k", "RelayoutViewport10k"},
@@ -65,6 +68,7 @@ var speedupPairs = map[string][2]string{
 	"open_large_doc":             {"OpenLargeDocEager", "OpenLargeDocStreamed"},
 	"text_edit_200k_over_2k":     {"EditData200k", "EditData2k"},
 	"textview_edit_200k_over_2k": {"EditView200k", "EditView2k"},
+	"repaint_damage_speedup":     {"IncrementalEdit/full", "IncrementalEdit/damage"},
 }
 
 // extraRatioPairs derives ratios from a custom metric instead of ns/op:
@@ -163,7 +167,7 @@ func meanStddev(vs []float64) (mean, stddev float64) {
 
 func main() {
 	out := flag.String("out", "BENCH_text.json", "JSON output path")
-	filter := flag.String("filter", "", "only record benchmarks whose name contains this substring")
+	filter := flag.String("filter", "", "only record benchmarks whose name contains one of these comma-separated substrings")
 	cmd := flag.String("cmd", "go test -bench=. -benchmem .", "command recorded in the report")
 	flag.Parse()
 
@@ -182,7 +186,7 @@ func main() {
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		}
-		if e, ok := parseBench(line); ok && strings.Contains(e.Name, *filter) {
+		if e, ok := parseBench(line); ok && matches(e.Name, *filter) {
 			col.add(e)
 		}
 	}
@@ -203,6 +207,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+}
+
+// matches reports whether name contains one of filter's comma-separated
+// substrings; an empty filter matches everything.
+func matches(name, filter string) bool {
+	for _, sub := range strings.Split(filter, ",") {
+		if strings.Contains(name, sub) {
+			return true
+		}
+	}
+	return false
 }
 
 // parseBench parses one `go test -bench` result line, e.g.
@@ -250,15 +265,17 @@ func parseBench(line string) (entry, bool) {
 func deriveSpeedups(es []entry) map[string]float64 {
 	byName := map[string]entry{}
 	for _, e := range es {
-		if i := strings.LastIndex(e.Name, "/"); i >= 0 {
-			// Strip the leading group and trailing -P cpu suffix.
-			name := e.Name[i+1:]
-			if j := strings.LastIndex(name, "-"); j >= 0 {
-				if _, err := strconv.Atoi(name[j+1:]); err == nil {
-					name = name[:j]
-				}
+		// Strip the trailing -P cpu suffix; index the whole name and, for
+		// a sub-benchmark, its last element.
+		name := e.Name
+		if j := strings.LastIndex(name, "-"); j >= 0 {
+			if _, err := strconv.Atoi(name[j+1:]); err == nil {
+				name = name[:j]
 			}
-			byName[name] = e
+		}
+		byName[name] = e
+		if i := strings.LastIndex(name, "/"); i >= 0 {
+			byName[name[i+1:]] = e
 		}
 	}
 	out := map[string]float64{}

@@ -146,3 +146,33 @@ func TestExtraRatioDerivation(t *testing.T) {
 		t.Fatalf("open_rss_ratio = %v, want 200 (500/2.5)", got)
 	}
 }
+
+// TestRepaintSpeedupAndFilterList pins the repaint ratio, keyed by the
+// whole sub-benchmark name, and the comma-separated -filter.
+func TestRepaintSpeedupAndFilterList(t *testing.T) {
+	col := newCollector()
+	for _, l := range []string{
+		"BenchmarkE9TextIndexing/EditData2k-2 1000 1200 ns/op",
+		"BenchmarkIncrementalEdit/damage-2 1000 40000 ns/op 7928 pixels/flush",
+		"BenchmarkIncrementalEdit/full-2 1000 500000 ns/op 219335 pixels/flush",
+		"BenchmarkOther/full-2 1000 1 ns/op",
+	} {
+		e, ok := parseBench(l)
+		if !ok {
+			t.Fatalf("rejected %q", l)
+		}
+		if matches(e.Name, "E9TextIndexing,IncrementalEdit") {
+			col.add(e)
+		}
+	}
+	es := col.finalize()
+	if len(es) != 3 {
+		t.Fatalf("filter kept %d entries, want 3", len(es))
+	}
+	if sp := deriveSpeedups(es); sp["repaint_damage_speedup"] != 12.5 {
+		t.Fatalf("repaint_damage_speedup = %v, want 12.5", sp["repaint_damage_speedup"])
+	}
+	if !matches("Anything", "") {
+		t.Fatal("an empty filter must match everything")
+	}
+}

@@ -11,6 +11,7 @@ package atk
 // script.
 
 import (
+	"strings"
 	"testing"
 
 	"atk/internal/components"
@@ -21,6 +22,7 @@ import (
 	"atk/internal/text"
 	"atk/internal/textview"
 	"atk/internal/widgets"
+	"atk/internal/wsys"
 	"atk/internal/wsys/memwin"
 )
 
@@ -179,4 +181,124 @@ func FuzzRepaint(f *testing.F) {
 		}
 		fx.check(t)
 	})
+}
+
+// FuzzRepaintWrapped is FuzzRepaint's second fixture: a 300-line document
+// whose lines run 5–145 characters, so many wrap, in a 400×200 window
+// with a scroll view. The text view lays out only what it shows and its
+// scroll bar counts the hard lines not yet laid, so the bar's extent
+// changes whenever layout reaches a wrapped line; the operations reach
+// the layout outside painting (scrolling without Lines, moving the caret
+// far off screen, scroll-bar clicks and thumb drags, clicks in the text,
+// RevealDot) as well as through edits.
+func FuzzRepaintWrapped(f *testing.F) {
+	f.Add([]byte("700"))                          // SetDot far below the viewport
+	f.Add([]byte{4, 0, 40, 255, 0, 0, 9, 0, 0})   // ScrollTo, then RevealDot back to the top
+	f.Add([]byte{7, 0, 150, 6, 190, 0, 8, 30, 9}) // thumb drag, bar click, text click
+	f.Add([]byte{2, 1, 59, 3, 0, 7, 1, 0, 3, 0, 0, 1, 5, 200, 1})
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		fx := newWrappedFixture(t)
+		for i := 0; i+2 < len(script); i += 3 {
+			op, a, b := script[i], script[i+1], script[i+2]
+			if op == 255 {
+				fx.check(t)
+				continue
+			}
+			fx.applyWrappedOp(op, a, b)
+		}
+		fx.check(t)
+	})
+}
+
+const wrappedW, wrappedH = 400, 200
+
+var fixtureWords = strings.Fields("the andrew toolkit lays out multi font text with " +
+	"wrapping and embeds components such as tables equations rasters and animations " +
+	"inside a document view")
+
+// newWrappedFixture builds FuzzRepaintWrapped's window. The document is
+// the same every run: line lengths come from a fixed linear congruential
+// sequence.
+func newWrappedFixture(t *testing.T) *repaintFixture {
+	t.Helper()
+	reg, err := components.StandardRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	seed := uint32(1)
+	for i := 0; i < 300; i++ {
+		seed = seed*1664525 + 1013904223
+		n := 5 + int(seed>>8)%141
+		var ln strings.Builder
+		for k := i; ln.Len() < n; k++ {
+			ln.WriteString(fixtureWords[k%len(fixtureWords)])
+			ln.WriteByte(' ')
+		}
+		b.WriteString(ln.String()[:n])
+		b.WriteByte('\n')
+	}
+	doc := text.NewString(b.String())
+	doc.SetRegistry(reg)
+
+	ws := memwin.New()
+	win, err := ws.NewWindow("wrapped", wrappedW, wrappedH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := core.NewInteractionManager(ws, win)
+	fx := &repaintFixture{doc: doc, ims: []*core.InteractionManager{im},
+		wins: []*memwin.Window{win.(*memwin.Window)}}
+	fx.tv = textview.New(reg)
+	fx.tv.SetDataObject(doc)
+	im.SetChild(widgets.NewScrollView(fx.tv))
+	im.FullRedraw()
+	return fx
+}
+
+// applyWrappedOp decodes and applies one FuzzRepaintWrapped operation.
+func (fx *repaintFixture) applyWrappedOp(op, a, b byte) {
+	doc, tv, im := fx.doc, fx.tv, fx.ims[0]
+	pos := func(span int) int { return (int(a)<<8 | int(b)) % span }
+	click := func(x, y int) {
+		im.HandleEvent(wsys.Click(x, y))
+		im.HandleEvent(wsys.Release(x, y))
+	}
+	switch op % 10 {
+	case 0: // insert one printable rune
+		_ = doc.Insert(pos(doc.Len()+1), string(rune('a'+b%26)))
+	case 1: // insert a newline
+		_ = doc.Insert(pos(doc.Len()+1), "\n")
+	case 2: // insert up to 60 words, enough to wrap over several rows
+		ws := make([]string, 1+int(b)%60)
+		for i := range ws {
+			ws[i] = fixtureWords[(int(a)+i)%len(fixtureWords)]
+		}
+		_ = doc.Insert(int(a)*97%(doc.Len()+1), strings.Join(ws, " "))
+	case 3: // delete a short run
+		if doc.Len() > 0 {
+			p := pos(doc.Len())
+			_ = doc.Delete(p, min(1+int(b%3), doc.Len()-p))
+		}
+	case 4: // scroll without ever asking for the line count
+		tv.ScrollTo(pos(700))
+	case 5: // move the caret anywhere, usually far off screen
+		tv.SetDot(pos(doc.Len() + 1))
+	case 6: // click the scroll bar: page up or down, or grab the thumb
+		click(widgets.ScrollBarWidth/2, int(a)%wrappedH)
+	case 7: // drag the thumb from its top to row b
+		total, top, vis := tv.ScrollInfo()
+		y := 0
+		if total > vis {
+			y = min(top*wrappedH/total, wrappedH-6) + 2
+		}
+		im.HandleEvent(wsys.Click(widgets.ScrollBarWidth/2, y))
+		im.HandleEvent(wsys.Drag(widgets.ScrollBarWidth/2, int(b)%wrappedH))
+		im.HandleEvent(wsys.Release(widgets.ScrollBarWidth/2, int(b)%wrappedH))
+	case 8: // click in the text
+		click(widgets.ScrollBarWidth+int(a)%(wrappedW-widgets.ScrollBarWidth), int(b)%wrappedH)
+	case 9:
+		tv.RevealDot()
+	}
 }

@@ -45,9 +45,13 @@ func (b *Bitmap) Set(x, y int, v Pixel) {
 func (b *Bitmap) Fill(r Rect, v Pixel) {
 	r = r.Intersect(b.Bounds())
 	for y := r.Min.Y; y < r.Max.Y; y++ {
-		row := b.Pix[y*b.W : y*b.W+b.W]
-		for x := r.Min.X; x < r.Max.X; x++ {
-			row[x] = v
+		row := b.Pix[y*b.W+r.Min.X : y*b.W+r.Max.X]
+		if v == White { // the background is zero: clear at memory speed
+			clear(row)
+			continue
+		}
+		for i := range row {
+			row[i] = v
 		}
 	}
 }

@@ -97,6 +97,25 @@ func (d *Drawable) LocalClip() Rect {
 	return d.clip.Translate(Pt(-d.origin.X, -d.origin.Y))
 }
 
+// Touches reports whether local rect r meets the clip and, when a damage
+// region is installed, the region: whether drawing confined to r can
+// change a pixel. Views use it to skip work the clip would discard.
+func (d *Drawable) Touches(r Rect) bool {
+	c := d.devR(r).Intersect(d.clip)
+	if c.Empty() {
+		return false
+	}
+	if !d.hasRegion {
+		return true
+	}
+	for _, rr := range d.region.Rects() {
+		if rr.Overlaps(c) {
+			return true
+		}
+	}
+	return false
+}
+
 // SetClipLocal narrows the clip to r (local space) intersected with the
 // current clip, returning the previous device clip for restoration.
 func (d *Drawable) SetClipLocal(r Rect) Rect {

@@ -268,3 +268,30 @@ func TestForwardingCoverage(t *testing.T) {
 		}
 	}
 }
+
+func TestTouchesClipAndRegion(t *testing.T) {
+	d := NewDrawable(newRec(100, 100)).Sub(XYWH(10, 10, 50, 50))
+	if !d.Touches(XYWH(0, 0, 5, 5)) {
+		t.Fatal("rect inside the clip reported untouched")
+	}
+	if d.Touches(XYWH(50, 0, 5, 5)) || d.Touches(XYWH(-10, -10, 10, 10)) {
+		t.Fatal("rect outside the clip reported touched")
+	}
+	d.SetRegion(RectRegion(XYWH(10, 30, 50, 4)).UnionRect(XYWH(40, 50, 5, 5)))
+	for _, c := range []struct {
+		r    Rect
+		want bool
+	}{
+		{XYWH(0, 0, 50, 20), false},  // above both region rects
+		{XYWH(0, 18, 50, 3), true},   // meets the strip at device rows 30-33
+		{XYWH(0, 24, 50, 10), false}, // between them
+		{XYWH(0, 24, 50, 20), true},  // reaches the square at device 40,50
+		{XYWH(0, 40, 29, 5), false},  // beside the square
+		{XYWH(0, 0, 50, 50), true},
+		{Rect{}, false},
+	} {
+		if got := d.Touches(c.r); got != c.want {
+			t.Errorf("Touches(%v) = %v, want %v", c.r, got, c.want)
+		}
+	}
+}

@@ -102,7 +102,8 @@ func ParseFontDesc(s string) (FontDesc, error) {
 }
 
 // Font is a realized font: a description plus its metrics. Fonts are
-// obtained from the cache via Open and shared; they are immutable.
+// obtained from the cache via Open and shared across goroutines; they are
+// immutable once their glyph table is built.
 type Font struct {
 	Desc FontDesc
 
@@ -111,6 +112,9 @@ type Font struct {
 	// advance per rune for the proportional synthetic face; the fixed face
 	// uses cellW for everything.
 	cellW int
+
+	glyphsOnce sync.Once
+	glyphs     *Glyphs
 }
 
 // Open realizes a font description. Identical descriptions return the same
@@ -140,6 +144,18 @@ func glyphAdvance(d FontDesc) int {
 		w = 3
 	}
 	return w
+}
+
+// Glyphs returns the font's glyph table, building it on first use. It is
+// nil for a font too large for the table (see maxTableSize); such fonts
+// draw through RasterGlyph.
+func (f *Font) Glyphs() *Glyphs {
+	f.glyphsOnce.Do(func() {
+		if f.Desc.Size <= maxTableSize {
+			f.glyphs = buildGlyphs(f)
+		}
+	})
+	return f.glyphs
 }
 
 // Ascent returns the height above the baseline.

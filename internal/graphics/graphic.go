@@ -256,44 +256,16 @@ func RasterPolygonFill(pts []Point, set func(x, y int)) {
 
 // RasterGlyph scales the 5x7 cell for r into a wxh box whose baseline sits
 // at (x, baseY), emulating bold by over-striking and italic by shearing.
+// It walks the cells glyphCells yields, pixel by pixel; a Font's Glyphs
+// table holds the same cells for the same box.
 func RasterGlyph(r rune, x, baseY, w, h int, style FontStyle, set func(x, y int)) {
-	if w <= 0 || h <= 0 {
-		return
-	}
-	g := GlyphRows(r)
-	for gy := 0; gy < 7; gy++ {
-		row := g[gy]
-		if row == 0 {
-			continue
-		}
-		y0 := baseY - h + gy*h/7
-		y1 := baseY - h + (gy+1)*h/7
-		if y1 == y0 {
-			y1 = y0 + 1
-		}
-		shear := 0
-		if style&Italic != 0 {
-			shear = (6 - gy) * w / 16
-		}
-		for gx := 0; gx < 5; gx++ {
-			if row&(1<<(4-gx)) == 0 {
-				continue
-			}
-			x0 := x + gx*w/6 + shear
-			x1 := x + (gx+1)*w/6 + shear
-			if x1 == x0 {
-				x1 = x0 + 1
-			}
-			if style&Bold != 0 {
-				x1++
-			}
-			for py := y0; py < y1; py++ {
-				for px := x0; px < x1; px++ {
-					set(px, py)
-				}
+	glyphCells(r, w, h, style, func(x0, y0, x1, y1 int) {
+		for py := baseY + y0; py < baseY+y1; py++ {
+			for px := x + x0; px < x+x1; px++ {
+				set(px, py)
 			}
 		}
-	}
+	})
 }
 
 func sortInts(xs []int) {

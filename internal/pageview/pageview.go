@@ -15,6 +15,7 @@ package pageview
 
 import (
 	"fmt"
+	"slices"
 
 	"atk/internal/class"
 	"atk/internal/core"
@@ -309,8 +310,10 @@ func (v *View) FullUpdate(dr *graphics.Drawable) {
 	}
 	pg := v.pages[v.pageIdx]
 	ox, oy := pageR.Min.X+MarginX, pageR.Min.Y+MarginY
+	var shown []*text.Embedded
 	for _, ln := range pg.lines {
 		if ln.child != nil {
+			shown = append(shown, ln.child)
 			r := graphics.XYWH(ox+ln.x, oy+ln.y, ln.cw, ln.ch)
 			if cv := v.childView(ln.child); cv != nil {
 				cv.SetBounds(r)
@@ -328,6 +331,13 @@ func (v *View) FullUpdate(dr *graphics.Drawable) {
 		dr.SetFont(ln.font)
 		dr.SetValue(graphics.Black)
 		dr.DrawString(graphics.Pt(ox+ln.x, oy+ln.y+ln.font.Ascent()), d.Slice(ln.start, ln.end))
+	}
+	// A child not on this page keeps no bounds, so an update it posts
+	// cannot paint over what is now in its old place.
+	for e, cv := range v.children {
+		if cv != nil && !cv.Bounds().Empty() && !slices.Contains(shown, e) {
+			cv.SetBounds(graphics.Rect{})
+		}
 	}
 	// Folio, centered in the bottom margin.
 	dr.SetFontDesc(graphics.FontDesc{Family: "andy", Size: 10})

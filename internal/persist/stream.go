@@ -173,8 +173,13 @@ func (t *tailLoader) Next() ([]rune, error) {
 	return out, nil
 }
 
+// RemainingRunes is the offset index's count of runes not yet delivered,
+// bounded by the content bytes left (every rune takes at least one byte),
+// so an index that lies cannot make LoadAll reserve more than the file
+// holds.
 func (t *tailLoader) RemainingRunes() int {
-	return max(0, t.totalRunes-t.runesOut)
+	left := t.content.N + int64(t.br.Buffered())
+	return int(max(0, min(int64(t.totalRunes-t.runesOut), left)))
 }
 
 func (t *tailLoader) RemainingLines() int {

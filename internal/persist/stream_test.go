@@ -1,9 +1,11 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -492,5 +494,24 @@ func TestEncodeAllocsIndependentOfLines(t *testing.T) {
 	small, large := allocs(2000), allocs(20000)
 	if large > 2*small {
 		t.Fatalf("EncodeDocument allocates %v times for 2,000 lines but %v for 20,000", small, large)
+	}
+}
+
+// TestRemainingRunesBoundedByContentBytes: an offset index that claims
+// more runes than the content bytes left cannot make LoadAll reserve
+// more than the file holds.
+func TestRemainingRunesBoundedByContentBytes(t *testing.T) {
+	content := &io.LimitedReader{R: strings.NewReader("one\ntwo\n"), N: 8}
+	br := bufio.NewReaderSize(content, 16)
+	tl := &tailLoader{content: content, br: br,
+		lr: datastream.NewLineReader(br, 1<<10), totalRunes: 1 << 40}
+	if got := tl.RemainingRunes(); got != 8 {
+		t.Fatalf("RemainingRunes = %d before reading, want the 8 content bytes", got)
+	}
+	if _, err := tl.Next(); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if got := tl.RemainingRunes(); got != 0 {
+		t.Fatalf("RemainingRunes = %d with the content consumed, want 0", got)
 	}
 }

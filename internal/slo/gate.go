@@ -251,6 +251,10 @@ func DefaultBenchGates() []BenchGate {
 		// text view repairing its layout.
 		{Name: "text_edit_size_ratio", Metric: "speedup:text_edit_200k_over_2k", Op: "<=", Threshold: 2},
 		{Name: "textview_edit_size_ratio", Metric: "speedup:textview_edit_200k_over_2k", Op: "<=", Threshold: 2},
+		// A keystroke's damage-region repaint must stay several times
+		// cheaper than repainting the whole view: undamaged lines are
+		// skipped, not drawn and clipped away.
+		{Name: "repaint_damage_speedup", Metric: "speedup:repaint_damage_speedup", Op: ">=", Threshold: 5},
 		// The streaming large-document pipeline (BENCH_stream.json): a
 		// 100 MB document must open at least 10x faster to first paint and
 		// hold at least 5x less live heap than the eager load, and an

@@ -107,10 +107,10 @@ type AssertionResult struct {
 // Summary is one scenario run's record, written to summary.json next to
 // the run's JSONL samples.
 type Summary struct {
-	Scenario    string               `json:"scenario"`
-	Seed        int64                `json:"seed"`
-	DurationSec float64              `json:"duration_sec"`
-	Phases      []driver.PhaseStats  `json:"phases"`
+	Scenario    string              `json:"scenario"`
+	Seed        int64               `json:"seed"`
+	DurationSec float64             `json:"duration_sec"`
+	Phases      []driver.PhaseStats `json:"phases"`
 	// LiveReplicas is how many writer/reader replicas survived to the
 	// convergence check; Diverged counts those that failed it.
 	LiveReplicas int                `json:"live_replicas"`

@@ -46,7 +46,7 @@ func Builtin() []Scenario {
 			Mix:         driver.Mix{Writers: 2, Readers: 6, Rate: 200},
 			Seed:        1002,
 			Warmup:      warmup, Inject: inject, Recovery: recovery,
-			Net:        &faultnet.Plan{StallFrac: 0.12, StallFor: 40 * time.Millisecond},
+			Net: &faultnet.Plan{StallFrac: 0.12, StallFor: 40 * time.Millisecond},
 			Assertions: std(
 				Assertion{Name: "commit_latency", Metric: "inject.commit_p95_ms", Op: "<=", Value: 1000},
 			),
@@ -57,7 +57,7 @@ func Builtin() []Scenario {
 			Mix:         driver.Mix{Writers: 2, Readers: 3, Churners: 2, Rate: 200},
 			Seed:        1003,
 			Warmup:      warmup, Inject: inject, Recovery: recovery,
-			Net:        &faultnet.Plan{ConnectDelay: 30 * time.Millisecond, ReadDelay: 2 * time.Millisecond},
+			Net: &faultnet.Plan{ConnectDelay: 30 * time.Millisecond, ReadDelay: 2 * time.Millisecond},
 			Assertions: std(
 				// Proves the fault was actually armed: churner attaches during
 				// inject must pay at least the injected connect delay.
@@ -71,7 +71,7 @@ func Builtin() []Scenario {
 			Mix:         driver.Mix{Writers: 2, Readers: 2, Rate: 200},
 			Seed:        1004,
 			Warmup:      warmup, Inject: inject, Recovery: recovery,
-			Net:        &faultnet.Plan{CutAfter: 150 * time.Millisecond, CutJitter: 100 * time.Millisecond},
+			Net: &faultnet.Plan{CutAfter: 150 * time.Millisecond, CutJitter: 100 * time.Millisecond},
 			Assertions: std(
 				Assertion{Name: "fault_armed", Metric: "net_cuts", Op: ">=", Value: 1, Hard: true},
 				Assertion{Name: "sessions_resumed", Metric: "resumes", Op: ">=", Value: 1, Hard: true},
@@ -96,7 +96,7 @@ func Builtin() []Scenario {
 			Mix:         driver.Mix{Writers: 2, Readers: 2, Rate: 200},
 			Seed:        1009,
 			Warmup:      warmup, Inject: inject, Recovery: recovery,
-			Net:        &faultnet.Plan{CutAfter: 60 * time.Millisecond, CutJitter: 60 * time.Millisecond},
+			Net: &faultnet.Plan{CutAfter: 60 * time.Millisecond, CutJitter: 60 * time.Millisecond},
 			Assertions: std(
 				Assertion{Name: "fault_armed", Metric: "net_cuts", Op: ">=", Value: 1, Hard: true},
 				Assertion{Name: "sessions_resumed", Metric: "resumes", Op: ">=", Value: 1, Hard: true},

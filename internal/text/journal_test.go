@@ -166,10 +166,10 @@ func TestEmbedLogsReset(t *testing.T) {
 func TestApplyRecordRejectsBadStyleRuns(t *testing.T) {
 	d := NewString("0123456789")
 	bad := []EditRecord{
-		{Kind: RecStyle, Runs: []Run{{5, 3, "bold"}}},   // inverted
-		{Kind: RecStyle, Runs: []Run{{0, 99, "bold"}}},  // out of range
+		{Kind: RecStyle, Runs: []Run{{5, 3, "bold"}}},           // inverted
+		{Kind: RecStyle, Runs: []Run{{0, 99, "bold"}}},          // out of range
 		{Kind: RecStyle, Runs: []Run{{0, 4, "b"}, {2, 6, "b"}}}, // overlap
-		{Kind: RecStyle, Runs: []Run{{0, 4, ""}}},       // empty name
+		{Kind: RecStyle, Runs: []Run{{0, 4, ""}}},               // empty name
 		{Kind: RecInsert, Pos: 0, Text: string(AnchorRune)},
 	}
 	for _, rec := range bad {

@@ -2,6 +2,7 @@ package text
 
 import (
 	"io"
+	"slices"
 
 	"atk/internal/core"
 )
@@ -89,8 +90,13 @@ func (d *Data) LoadMore() error {
 	return nil
 }
 
-// LoadAll materializes the whole deferred tail.
+// LoadAll materializes the whole deferred tail. It reserves the rune
+// store for the estimated remainder first, so the loads append into one
+// allocation instead of regrowing it by doubling.
 func (d *Data) LoadAll() error {
+	if d.tail != nil {
+		d.orig = slices.Grow(d.orig, d.tail.RemainingRunes())
+	}
 	for d.tail != nil {
 		if err := d.LoadMore(); err != nil {
 			return err

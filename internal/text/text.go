@@ -256,7 +256,11 @@ func (d *Data) spliceIn(pos, n int, np piece) {
 
 // spliceOut removes the rune range [pos, pos+n), n > 0, from the piece
 // list: the pieces it touches give way to the remainders of the first
-// and last of them.
+// and last of them. Runes cut from the end of the add buffer go back to
+// it, so a Backspace after typing leaves no dead rune and the next
+// keystroke extends the same piece. That is safe because an add rune
+// belongs to at most one piece, cursors re-seek on the generation bump,
+// and undo records, the journal and ops carry strings.
 func (d *Data) spliceOut(pos, n int) {
 	end := pos + n
 	a, b := d.pieces.Find(pos), d.pieces.Find(end-1)
@@ -267,10 +271,12 @@ func (d *Data) spliceOut(pos, n int) {
 		lens[k], ps[k] = pos-a.Start(), a.Val()
 		k++
 	}
+	p := b.Val()
 	if b.End() > end { // right remainder of the last piece
-		p := b.Val()
 		lens[k], ps[k] = b.End()-end, piece{p.src, p.off + end - b.Start()}
 		k++
+	} else if p.src == srcAdd && p.off+b.Len() == len(d.add) {
+		d.add = d.add[:p.off+max(pos, b.Start())-b.Start()]
 	}
 	d.pieces.Replace(a.Index(), b.Index()+1, lens[:k], ps[:k])
 }

@@ -1,6 +1,7 @@
 package textview
 
 import (
+	"atk/internal/core"
 	"atk/internal/graphics"
 	"atk/internal/text"
 )
@@ -8,7 +9,9 @@ import (
 // FullUpdate implements core.View: paints the visible lines, embedded
 // children, selection highlight and caret. Painting only ever needs the
 // viewport laid out, so this is the lazy path — cost proportional to the
-// window, not the document.
+// window, not the document. A line's glyphs, children and highlight lie
+// within its strip of rows, so a line whose strip the drawable's clip and
+// damage region miss draws nothing; its children are still placed.
 func (v *View) FullUpdate(d *graphics.Drawable) {
 	v.ensureViewport()
 	w, h := v.Bounds().Dx(), v.Bounds().Dy()
@@ -21,16 +24,24 @@ func (v *View) FullUpdate(d *graphics.Drawable) {
 		return
 	}
 	selStart, selEnd := v.Selection()
+	lc := d.LocalClip()
 	y := 2
 	for it := v.lines.At(v.topLine); it.Ok() && y < h; it.Next() {
 		ln := placedAt(it)
 		base := y + ln.ascent
+		damaged := d.Touches(graphics.R(lc.Min.X, y, lc.Max.X, y+ln.h))
 		for _, seg := range ln.segs {
 			if seg.child != nil {
 				r := graphics.XYWH(seg.x, y, seg.w, ln.h)
 				v.rects[seg.child] = r
-				if cv := v.childView(seg.child); cv != nil {
+				cv := v.childView(seg.child)
+				if cv != nil {
 					cv.SetBounds(r)
+				}
+				if !damaged {
+					continue
+				}
+				if cv != nil {
 					cv.FullUpdate(d.Sub(r))
 					cv.DrawOverlay(d.Sub(r))
 				} else {
@@ -42,7 +53,7 @@ func (v *View) FullUpdate(d *graphics.Drawable) {
 				d.SetValue(graphics.Black)
 				continue
 			}
-			if seg.font == nil {
+			if seg.font == nil || !damaged {
 				continue
 			}
 			d.SetFont(seg.font)
@@ -50,7 +61,7 @@ func (v *View) FullUpdate(d *graphics.Drawable) {
 			d.DrawString(graphics.Pt(seg.x, base), td.Slice(ln.start+seg.start, ln.start+seg.end))
 		}
 		// Selection highlight for the overlap with this line.
-		if selStart < selEnd && selEnd > ln.start && selStart < ln.nlEnd {
+		if damaged && selStart < selEnd && selEnd > ln.start && selStart < ln.nlEnd {
 			x0 := v.posToX(ln, max(selStart, ln.start))
 			x1 := v.posToX(ln, min(selEnd, ln.end))
 			if selEnd > ln.end { // selection crosses the newline
@@ -61,6 +72,13 @@ func (v *View) FullUpdate(d *graphics.Drawable) {
 			}
 		}
 		y += ln.h
+	}
+	// A child scrolled out of view keeps no bounds, so an update it posts
+	// while hidden cannot paint over the lines now in its old place.
+	for e, cv := range v.children {
+		if _, shown := v.rects[e]; !shown && cv != nil && !cv.Bounds().Empty() {
+			cv.SetBounds(graphics.Rect{})
+		}
 	}
 	// Caret.
 	if selStart == selEnd {
@@ -104,9 +122,14 @@ func (v *View) posToX(ln placed, pos int) int {
 }
 
 // caretGeometry returns the caret's x, top y, height — ok=false when the
-// caret is scrolled out of view.
+// caret is scrolled out of view. It reads the laid prefix only: painting
+// never extends the layout past ensureViewport, and a caret beyond the
+// prefix lies below the viewport.
 func (v *View) caretGeometry() (x, y, h int, ok bool) {
-	li := v.lineOf(v.dot)
+	li := v.findLine(v.dot)
+	if li >= v.lines.Len() {
+		return 0, 0, 0, false
+	}
 	y, ok = v.lineTop(li)
 	if !ok {
 		return 0, 0, 0, false
@@ -167,6 +190,50 @@ func (v *View) posAt(p graphics.Point) int {
 		}
 	}
 	return ln.end
+}
+
+// WantUpdate implements core.View. The text view inverts the selection
+// highlight over the embedded children it covers, so a selected child's
+// request to repaint itself becomes a repaint of its rectangle by the
+// text view, which draws the child and then the highlight.
+func (v *View) WantUpdate(cv core.View) {
+	if r, ok := v.selectedChildRect(cv); ok {
+		v.BaseView.WantUpdateRegion(v.Self(), graphics.RectRegion(r))
+		return
+	}
+	v.BaseView.WantUpdate(cv)
+}
+
+// WantUpdateRegion implements core.View like WantUpdate.
+func (v *View) WantUpdateRegion(cv core.View, reg graphics.Region) {
+	if r, ok := v.selectedChildRect(cv); ok {
+		v.BaseView.WantUpdateRegion(v.Self(), graphics.RectRegion(r))
+		return
+	}
+	v.BaseView.WantUpdateRegion(cv, reg)
+}
+
+// selectedChildRect returns the rectangle of the visible embedded child
+// that is cv or holds it, when the selection covers the child's anchor:
+// the highlight then covers exactly that rectangle.
+func (v *View) selectedChildRect(cv core.View) (graphics.Rect, bool) {
+	s, e := v.Selection()
+	if s == e {
+		return graphics.Rect{}, false
+	}
+	for cv != nil && cv.Parent() != v.Self() {
+		cv = cv.Parent()
+	}
+	if cv == nil {
+		return graphics.Rect{}, false
+	}
+	for emb, child := range v.children {
+		if child == cv && emb.Pos >= s && emb.Pos < e {
+			r, shown := v.rects[emb]
+			return r, shown
+		}
+	}
+	return graphics.Rect{}, false
 }
 
 // ChildRect returns the on-screen rectangle of an embedded component, if

@@ -372,8 +372,9 @@ func (v *View) syncLayout() {
 // extendOne lays the next display line at the frontier, reproducing the
 // from-scratch layout loop exactly: a trailing newline yields one final
 // empty line, and an empty document yields a single empty line. It
-// reports false once the layout is complete.
-func (v *View) extendOne(d *text.Data, w int) bool {
+// reports whether the line it laid is a wrapped row that its hard line
+// continues past, the one kind of line that changes ScrollInfo's total.
+func (v *View) extendOne(d *text.Data, w int) (wrapped bool) {
 	if v.complete {
 		return false
 	}
@@ -392,7 +393,7 @@ func (v *View) extendOne(d *text.Data, w int) bool {
 			v.complete = true
 		}
 	}
-	return true
+	return !ln.nl && !v.complete
 }
 
 // loadHorizonRunes is how much loaded content the layout keeps ahead of
@@ -419,19 +420,33 @@ func (v *View) faultAhead(d *text.Data) {
 }
 
 // ensureLayout materializes the full line table — the pre-lazy contract,
-// used by everything that needs the total line count (Lines, ScrollInfo,
-// ScrollTo, DesiredSize).
+// used only by Lines and DesiredSize, which need every line, and by a
+// pointer below everything laid out.
 func (v *View) ensureLayout() {
+	v.extendWhile(func() bool { return true })
+	if v.topLine > v.lines.Len()-1 {
+		v.topLine = max(0, v.lines.Len()-1)
+	}
+}
+
+// extendWhile lays lines at the frontier while more reports true and the
+// layout is incomplete. It serves everything but painting, so when it
+// lays a wrapped row, which raises ScrollInfo's total, it posts a
+// whole-view update: the scroll bar repaints with the body (DESIGN.md §8).
+func (v *View) extendWhile(more func() bool) {
 	v.syncLayout()
 	d := v.Text()
 	if d == nil {
 		return
 	}
-	for !v.complete {
-		v.extendOne(d, v.layoutW)
+	wrapped := false
+	for !v.complete && more() {
+		if v.extendOne(d, v.layoutW) {
+			wrapped = true
+		}
 	}
-	if v.topLine > v.lines.Len()-1 {
-		v.topLine = max(0, v.lines.Len()-1)
+	if wrapped {
+		v.WantUpdate(v.Self())
 	}
 }
 
@@ -472,26 +487,12 @@ func (v *View) ensureViewport() {
 // ensureLine extends the layout until line index li exists (or the
 // layout completes short of it).
 func (v *View) ensureLine(li int) {
-	v.syncLayout()
-	d := v.Text()
-	if d == nil {
-		return
-	}
-	for !v.complete && v.lines.Len() <= li {
-		v.extendOne(d, v.layoutW)
-	}
+	v.extendWhile(func() bool { return v.lines.Len() <= li })
 }
 
 // ensurePos extends the layout until the line containing pos exists.
 func (v *View) ensurePos(pos int) {
-	v.syncLayout()
-	d := v.Text()
-	if d == nil {
-		return
-	}
-	for !v.complete && (v.lines.Len() == 0 || v.lines.Total() <= pos) {
-		v.extendOne(d, v.layoutW)
-	}
+	v.extendWhile(func() bool { return v.lines.Len() == 0 || v.lines.Total() <= pos })
 }
 
 // LayoutViewport primes the viewport-lazy layout for the current scroll
@@ -805,10 +806,10 @@ func (v *View) childView(e *text.Embedded) core.View {
 	return cv
 }
 
-// Lines returns the total number of layout lines. This is the one query
-// that inherently needs the whole document laid out, so it materializes
-// the full layout (the eager half of the viewport-lazy contract; see
-// DESIGN.md §8). Paint-path code never calls it.
+// Lines returns the total number of layout lines. With DesiredSize, it
+// is the query that inherently needs the whole document laid out, so it
+// materializes the full layout (the eager half of the viewport-lazy
+// contract; see DESIGN.md §8). Paint-path code never calls it.
 func (v *View) Lines() int {
 	v.ensureLayout()
 	return v.lines.Len()
@@ -832,7 +833,15 @@ func (v *View) DesiredSize(wHint, hHint int) (int, int) {
 	save := v.Bounds()
 	v.BaseView.SetBounds(graphics.XYWH(0, 0, wHint, 1))
 	v.dirty = true
-	v.ensureLayout()
+	// Lay everything out without posting an update (extendWhile would):
+	// this table is thrown away below, and a parent may ask for its size
+	// while painting.
+	v.syncLayout()
+	if d := v.Text(); d != nil {
+		for !v.complete {
+			v.extendOne(d, v.layoutW)
+		}
+	}
 	h := 0
 	for it := v.lines.At(0); it.Ok(); it.Next() {
 		h += it.Val().h
@@ -862,27 +871,30 @@ func (v *View) visibleLines() int {
 	return n
 }
 
-// ScrollInfo implements widgets.Scrollee. For a streamed document with
-// content still unloaded it reports an estimated total (laid lines plus
-// the offset index's pending-line count) instead of materializing the
-// layout — scrollbar geometry must not force a 100 MB load.
+// ScrollInfo implements widgets.Scrollee without laying out the whole
+// document: the total is the laid display lines plus the hard lines not
+// yet laid (exact for unwrapped text), or, while a streamed document
+// still has content unloaded, plus the offset index's pending-line count
+// — scrollbar geometry must not force a 100 MB load. It lays out the
+// viewport first, as painting does, so the bar and the body agree
+// whichever paints first.
 func (v *View) ScrollInfo() (total, top, visible int) {
-	if d := v.Text(); d != nil && d.Pending() {
-		vis := v.visibleLines()
-		return v.lines.Len() + d.PendingLines(), v.topLine, vis
+	visible = v.visibleLines()
+	total = v.lines.Len()
+	if d := v.Text(); d != nil && !v.complete {
+		if d.Pending() {
+			total += d.PendingLines()
+		} else {
+			total += d.LineCount() - d.LineOf(v.lines.Total())
+		}
 	}
-	v.ensureLayout()
-	return v.lines.Len(), v.topLine, v.visibleLines()
+	return total, v.topLine, visible
 }
 
-// ScrollTo implements widgets.Scrollee. Scrolling a streamed document
-// extends layout (and faults content in) only through the target line.
+// ScrollTo implements widgets.Scrollee. It extends the layout (and, in a
+// streamed document, faults content in) only through the target line.
 func (v *View) ScrollTo(top int) {
-	if d := v.Text(); d != nil && d.Pending() {
-		v.ensureLine(top)
-	} else {
-		v.ensureLayout()
-	}
+	v.ensureLine(top)
 	if top > v.lines.Len()-1 {
 		top = v.lines.Len() - 1
 	}

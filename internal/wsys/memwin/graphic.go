@@ -152,10 +152,41 @@ func (g *Graphic) FillPolygon(pts []graphics.Point, v graphics.Pixel) {
 	graphics.RasterPolygonFill(pts, g.setter(v))
 }
 
-// DrawString implements graphics.Graphic by scaling the shared 5x7 face.
+// DrawString implements graphics.Graphic by filling the font's glyph
+// cells. Only the clip is visited: a string whose rows miss it draws
+// nothing, glyphs wholly left of it are skipped, and the first glyph
+// starting right of it ends the string (advances are positive and ink
+// never lies left of the pen). Each cell is clipped and filled whole, and
+// its clipped area counted, which is exactly what setting its pixels one
+// by one counts.
 func (g *Graphic) DrawString(p graphics.Point, s string, f *graphics.Font, v graphics.Pixel) {
 	g.ops++
-	renderString(p, s, f, g.setter(v))
+	c := g.clip
+	if p.Y <= c.Min.Y || p.Y-f.Ascent() >= c.Max.Y {
+		return
+	}
+	gl := f.Glyphs()
+	if gl == nil {
+		renderString(p, s, f, g.setter(v))
+		return
+	}
+	x := p.X
+	for _, r := range s {
+		if x >= c.Max.X {
+			return
+		}
+		if x+gl.Right > c.Min.X {
+			for _, k := range gl.Cells(r) {
+				cell := graphics.Rect{
+					Min: graphics.Pt(x+int(k.X0), p.Y+int(k.Y0)),
+					Max: graphics.Pt(x+int(k.X1), p.Y+int(k.Y1)),
+				}.Intersect(c)
+				g.pixels += int64(cell.Dx()) * int64(cell.Dy())
+				g.bm.Fill(cell, v)
+			}
+		}
+		x += f.RuneWidth(r)
+	}
 }
 
 func renderString(p graphics.Point, s string, f *graphics.Font, set func(x, y int)) {

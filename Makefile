@@ -15,12 +15,13 @@ test:
 # files keeps the Go cache in .bench_build/ out of the check), builds and
 # vets every package, runs the full test suite under the
 # race detector (which includes the golden-frame comparisons), reruns the
-# docserve soak and table-collaboration tests 20 times under it (their
-# interleavings vary run to run, so one pass proves little),
-# smoke-fuzzes the datastream reader and its line reader, the
-# write→read→write round trip through the full component registry, the
-# streamed encoding of edited documents, and the repaint equivalence
-# oracle on both of its fixtures,
+# docserve soak and table-collaboration tests and the loadgen tests 20
+# times under it (their interleavings vary run to run, so one pass
+# proves little), smoke-fuzzes the datastream reader and its line
+# reader, the write→read→write round trip through the full component
+# registry, the streamed encoding of edited documents, the text store
+# against its []rune oracle, and the repaint equivalence oracle on both
+# of its fixtures,
 # holds the committed benchmark numbers to their gates, and runs the
 # end-to-end benchmark (bench-e2e).
 verify:
@@ -28,12 +29,13 @@ verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'TestSoak|TestTableCollab' ./internal/docserve
+	$(GO) test -race -count=20 -run 'TestSoak|TestTableCollab|TestRun' ./internal/docserve ./cmd/loadgen
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzLineReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=10s ./internal/persist
+	$(GO) test -fuzz=FuzzDataOracle -fuzztime=10s ./internal/text
 	$(GO) test -fuzz='^FuzzRepaint$$' -fuzztime=10s .
 	$(GO) test -fuzz=FuzzRepaintWrapped -fuzztime=10s .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/persist
@@ -60,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLineReader -fuzztime=$(FUZZTIME) ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -fuzz=FuzzDataOracle -fuzztime=$(FUZZTIME) ./internal/text
 	$(GO) test -fuzz='^FuzzRepaint$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzRepaintWrapped -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/persist

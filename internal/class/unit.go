@@ -98,15 +98,6 @@ func (r *Registry) IsLoaded(name string) bool {
 	return ok && st.loaded
 }
 
-// UnitNames returns the names of all declared units in undefined order.
-func (r *Registry) UnitNames() []string {
-	out := make([]string, 0, len(r.units))
-	for n := range r.units {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Default is the process-wide registry used by toolkit packages that
 // register components from init functions. It is wrapped with a mutex so
 // concurrent package initialization and test parallelism are safe.

@@ -364,14 +364,24 @@ func (im *InteractionManager) Ticks() int64 { return im.ticks }
 
 // --- the update cycle ---
 
-// FlushUpdates performs the delayed update: pending views are repainted
-// parents-first (the update event travelling back down the tree), each
-// restricted to its damage region minus whatever shallower views already
-// repaint, then ancestors of updated views draw their overlays so
-// material a parent keeps on top of its children ends up in the right
-// order. Finally only the union of everything repainted is flushed to
-// the backend.
+// A Preparer is a view whose drawing depends on the state of views below
+// it: a scroll view's bar shows its body's scroll position. Before a
+// flush collects the pending damage, it calls PrepareUpdate on every
+// Preparer above a view with damage pending, so that the Preparer can
+// request damage of its own and have it repainted in the same flush.
+type Preparer interface {
+	PrepareUpdate()
+}
+
+// FlushUpdates performs the delayed update: Preparers above the damaged
+// views add their damage, pending views are repainted parents-first (the
+// update event travelling back down the tree), each restricted to its
+// damage region minus whatever shallower views already repaint, then
+// ancestors of updated views draw their overlays so material a parent
+// keeps on top of its children ends up in the right order. Finally only
+// the union of everything repainted is flushed to the backend.
 func (im *InteractionManager) FlushUpdates() {
+	im.prepare()
 	im.pendMu.Lock()
 	if len(im.pending) == 0 {
 		im.pendMu.Unlock()
@@ -454,6 +464,25 @@ func (im *InteractionManager) FlushUpdates() {
 		covered = covered.UnionRect(im.popup.rect)
 	}
 	_ = im.win.Graphic().FlushRegion(covered)
+}
+
+// prepare calls PrepareUpdate on the Preparers above each view with
+// damage pending; what they request joins the pending damage.
+func (im *InteractionManager) prepare() {
+	var buf [8]View
+	im.pendMu.Lock()
+	views := buf[:0]
+	for v := range im.pending {
+		views = append(views, v)
+	}
+	im.pendMu.Unlock()
+	for _, v := range views {
+		for a := v.Parent(); a != nil; a = a.Parent() {
+			if p, ok := a.(Preparer); ok {
+				p.PrepareUpdate()
+			}
+		}
+	}
 }
 
 // updateOne repaints one view behind a panic barrier; a panicking view is

@@ -2,7 +2,6 @@ package datastream
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -13,13 +12,12 @@ import (
 // record files, docserve frames) frame arbitrary text with the exact same
 // rules the external representation uses. The rules live in three small
 // helpers — plain (which bytes stand for themselves), lineEnc.wrap (the
-// wrap at MaxLine-1) and lineEnc.escape (the \\ and \u tokens) — shared
-// by the encoder's two walks: the byte loop (escapeBytes) over one
-// logical line held as a string or []byte, and the rune walk
-// (lineEnc.escapeRunes) over text held as runes, which the Writer's
-// streaming text entry feeds piece by piece. There is one decoder
-// (decodeAppend) and one reader of lines (LineReader, line.go); every
-// writer and reader of the discipline goes through these.
+// wrap at MaxLine-1) and lineEnc.escape (the \\ and \u tokens) — and one
+// walk, the byte loop escapeBytes, over UTF-8 held as a string or []byte:
+// one logical line (AppendEscaped), or the Writer's streaming text entry,
+// fed piece by piece, where each '\n' ends a logical line. There is one
+// decoder (decodeAppend) and one reader of lines (LineReader, line.go);
+// every writer and reader of the discipline goes through these.
 
 // plain reports whether byte c is written as itself: printable ASCII or
 // tab, except the backslash, which is doubled.
@@ -86,23 +84,30 @@ func AppendEscapedBytes(dst, s []byte) []byte { return appendEscaped(dst, s) }
 
 func appendEscaped[S string | []byte](dst []byte, s S) []byte {
 	var e lineEnc
-	return e.end(escapeBytes(&e, dst, s))
+	return e.end(escapeBytes(&e, dst, s, false))
 }
 
 // escapeBytes is the byte loop: it encodes s as the continuation of e's
-// logical line, newlines included. Each run of plain bytes is copied with
-// one append per physical line, and a rune is decoded only where one
-// starts outside ASCII, so neither instantiation copies s and escaping
-// allocates nothing beyond dst's growth. (Ranging over string(s) would
-// copy any []byte line longer than 32 bytes.)
-func escapeBytes[S string | []byte](e *lineEnc, dst []byte, s S) []byte {
+// logical line, newlines included, or, with text set, as the
+// continuation of e's text, where each '\n' ends a logical line. Each run
+// of plain bytes is copied with one append per physical line, and a rune
+// is decoded only where one starts outside ASCII, so neither
+// instantiation copies s and escaping allocates nothing beyond dst's
+// growth. (Ranging over string(s) would copy any []byte line longer than
+// 32 bytes.) A text split at rune boundaries across any number of calls
+// encodes exactly as it would in one.
+func escapeBytes[S string | []byte](e *lineEnc, dst []byte, s S, text bool) []byte {
 	for i := 0; i < len(s); {
 		if c := s[i]; !plain(c) {
 			r, n := rune(c), 1
 			if c >= utf8.RuneSelf {
 				r, n = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 			}
-			dst = e.escape(dst, r)
+			if c == '\n' && text {
+				dst = e.end(dst)
+			} else {
+				dst = e.escape(dst, r)
+			}
 			i += n
 			continue
 		}
@@ -115,42 +120,6 @@ func escapeBytes[S string | []byte](e *lineEnc, dst []byte, s S) []byte {
 		dst = append(dst, s[i:j]...)
 		e.col += j - i
 		i = j
-	}
-	return dst
-}
-
-// escapeRunes is the rune walk: it encodes rs as the continuation of e's
-// text, where each '\n' ends a logical line. Like the byte loop it copies
-// each run of plain runes in one step per physical line, so a text split
-// across any number of calls encodes exactly as it would in one.
-func (e *lineEnc) escapeRunes(dst []byte, rs []rune) []byte {
-	for i := 0; i < len(rs); {
-		if r := rs[i]; uint32(r) >= utf8.RuneSelf || !plain(byte(r)) {
-			if r == '\n' {
-				dst = e.end(dst)
-			} else {
-				dst = e.escape(dst, r)
-			}
-			i++
-			continue
-		}
-		var room int
-		dst, room = e.room(dst)
-		run := rs[i:min(len(rs), i+room)]
-		k := len(dst)
-		dst = slices.Grow(dst, len(run))
-		out := dst[k : k+len(run)]
-		n := 0
-		for _, r := range run {
-			if uint32(r) >= utf8.RuneSelf || !plain(byte(r)) {
-				break
-			}
-			out[n] = byte(r)
-			n++
-		}
-		dst = dst[:k+n]
-		e.col += n
-		i += n
 	}
 	return dst
 }

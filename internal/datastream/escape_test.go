@@ -287,24 +287,30 @@ func writeText(t *testing.T, write func(w *Writer) error) string {
 	return sb.String()
 }
 
-// TestWriteRunesMatchesWriteText: the streaming text entry, fed a text in
-// slices cut anywhere (inside wrapped lines and escape runs included),
-// writes exactly what WriteText writes for the whole; runes string()
-// would turn into U+FFFD encode as it does.
-func TestWriteRunesMatchesWriteText(t *testing.T) {
-	texts := append([]string{strings.Join(escapeCases, "\n"), "a\n", "\n", strings.Repeat("é\\x", 200) + "\n"}, escapeCases...)
+// TestWriteBytesMatchesWriteText: the streaming text entry, fed a text in
+// slices cut at any rune boundary (inside wrapped lines and escape runs
+// included), writes exactly what WriteText writes for the whole; bytes
+// that are not valid UTF-8 encode as U+FFFD, one each, as they do there.
+func TestWriteBytesMatchesWriteText(t *testing.T) {
+	texts := append([]string{strings.Join(escapeCases, "\n"), "a\n", "\n", strings.Repeat("é\\x", 200) + "\n",
+		strings.Repeat("€", textChunk) + "\n" + strings.Repeat("a𝔘", textChunk)}, escapeCases...)
 	for _, s := range texts {
 		want := writeText(t, func(w *Writer) error { return w.WriteText(s) })
-		rs := []rune(s)
+		b := []byte(s)
 		for _, step := range []int{1, 2, 3, 7, 77, 78, 79, 1000, textChunk + 1} {
 			got := writeText(t, func(w *Writer) error {
-				for i := 0; i < len(rs); i += step {
-					if err := w.WriteRunes(rs[i:min(len(rs), i+step)]); err != nil {
+				for i := 0; i < len(b); {
+					j := min(len(b), i+step)
+					for j < len(b) && !utf8.RuneStart(b[j]) {
+						j++
+					}
+					if err := w.WriteBytes(b[i:j]); err != nil {
 						return err
 					}
+					i = j
 				}
-				if len(rs) == 0 {
-					if err := w.WriteRunes(nil); err != nil {
+				if len(b) == 0 {
+					if err := w.WriteBytes(nil); err != nil {
 						return err
 					}
 				}
@@ -315,10 +321,10 @@ func TestWriteRunesMatchesWriteText(t *testing.T) {
 			}
 		}
 	}
-	bad := []rune{'a', 0xD800, 'b', 0xDFFF, utf8.MaxRune + 1, -1, '\\', 0x10FFFF}
-	want := writeText(t, func(w *Writer) error { return w.WriteText(string(bad)) })
-	if got := writeText(t, func(w *Writer) error { return w.WriteRunes(bad) }); got != want {
-		t.Fatalf("invalid runes:\n got %q\nwant %q", got, want)
+	bad := []byte("a\xed\xa0\x80b\xff\xc0\x80\\\xf4\x8f\xbf\xbf\xe2\x82")
+	want := writeText(t, func(w *Writer) error { return w.WriteText(string([]rune(string(bad)))) })
+	if got := writeText(t, func(w *Writer) error { return w.WriteBytes(bad) }); got != want {
+		t.Fatalf("invalid UTF-8:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -329,7 +335,7 @@ func TestEndTextOnlyEndsOpenText(t *testing.T) {
 		if err := w.EndText(); err != nil {
 			return err
 		}
-		return w.WriteRunes([]rune("unended"))
+		return w.WriteBytes([]byte("unended"))
 	})
 	if want := "\\begindata{text,1}\nunended\n\\enddata{text,1}\n"; got != want {
 		t.Fatalf("got %q, want %q", got, want)

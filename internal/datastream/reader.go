@@ -184,11 +184,6 @@ func (r *Reader) AddDiagnostic(line int, format string, args ...any) {
 // first token.
 func (r *Reader) Line() int { return r.lastLine }
 
-// InputLine returns the number of physical lines consumed from the
-// underlying stream, which can run ahead of Line after a Peek or across
-// continuation joins.
-func (r *Reader) InputLine() int { return r.lr.Lines() }
-
 // Depth returns how many objects are currently open.
 func (r *Reader) Depth() int { return len(r.stack) }
 

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Errors reported by the reader and writer.
@@ -54,7 +55,7 @@ type Writer struct {
 	stack  []openObj
 	err    error
 
-	// The open text of the streaming text entry (WriteRunes, WriteText,
+	// The open text of the streaming text entry (WriteBytes, WriteText,
 	// EndText): its current physical line, and the escape buffer reused
 	// across calls.
 	text   lineEnc
@@ -144,33 +145,49 @@ func (w *Writer) View(viewType string, id int) error {
 	return w.keep(err)
 }
 
-// textChunk bounds how many runes WriteRunes escapes before handing them
-// to the output, so its buffer stays a few kilobytes whatever it is given.
+// textChunk bounds how many bytes the streaming text entry escapes
+// before handing them to the output, so its buffer stays a few kilobytes
+// whatever it is given.
 const textChunk = 4096
 
-// WriteRunes is the streaming text entry: it encodes rs as payload text,
-// each '\n' ending a logical line, and carries the current physical
-// line's column across calls. A text may therefore arrive in any number
-// of slices (a piece table's pieces, say) and encodes exactly as the
-// whole would in one WriteText. EndText finishes the text; Begin, End,
-// View, WriteRawLine and Close end an open text first.
-func (w *Writer) WriteRunes(rs []rune) error {
+// WriteBytes is the streaming text entry: it encodes b, UTF-8 text, as
+// payload text, each '\n' ending a logical line, and carries the current
+// physical line's column across calls. A text may therefore arrive in
+// any number of slices cut at rune boundaries (a piece table's pieces,
+// say) and encodes exactly as the whole would in one WriteText. EndText
+// finishes the text; Begin, End, View, WriteRawLine and Close end an
+// open text first.
+func (w *Writer) WriteBytes(b []byte) error { return writeStream(w, b) }
+
+// writeStream is the streaming text entry over text held as a string or
+// as bytes. It escapes at most textChunk bytes at a time, each chunk
+// ending at a rune boundary so that no encoding is split.
+func writeStream[S string | []byte](w *Writer, s S) error {
 	if w.err != nil {
 		return w.err
 	}
 	w.inText = true
-	for len(rs) > 0 {
-		n := min(len(rs), textChunk)
-		w.line = w.text.escapeRunes(w.line[:0], rs[:n])
+	for len(s) > 0 {
+		n := len(s)
+		if n > textChunk {
+			n = textChunk
+			for k := n; k > n-utf8.UTFMax; k-- {
+				if utf8.RuneStart(s[k]) {
+					n = k
+					break
+				}
+			}
+		}
+		w.line = escapeBytes(&w.text, w.line[:0], s[:n], true)
 		if _, err := w.bw.Write(w.line); err != nil {
 			return w.keep(err)
 		}
-		rs = rs[n:]
+		s = s[n:]
 	}
 	return nil
 }
 
-// EndText ends the text WriteRunes or WriteText began: its last logical
+// EndText ends the text WriteBytes or WriteText began: its last logical
 // line gets its newline. With no text open it does nothing.
 func (w *Writer) EndText() error {
 	if w.err != nil || !w.inText {
@@ -183,27 +200,15 @@ func (w *Writer) EndText() error {
 }
 
 // WriteText encodes arbitrary text (any runes, any length) as payload
-// lines, escaping and wrapping per the package rules: it is the streaming
-// entry over one chunk held as a string, then EndText. Each call emits
-// one logical line per newline-separated segment of s, so the decoded
-// content of the emitted tokens — joined with "\n" — is exactly s.
-// Callers should therefore pass complete content in a single call rather
-// than concatenating across calls.
+// lines, escaping and wrapping per the package rules: it is the
+// streaming entry over s, then EndText. Each call emits one logical line
+// per newline-separated segment of s, so the decoded content of the
+// emitted tokens — joined with "\n" — is exactly s. Callers should
+// therefore pass complete content in a single call rather than
+// concatenating across calls.
 func (w *Writer) WriteText(s string) error {
-	if w.err != nil {
-		return w.err
-	}
-	w.inText = true
-	for more := true; more; {
-		var line string
-		line, s, more = strings.Cut(s, "\n")
-		w.line = escapeBytes(&w.text, w.line[:0], line)
-		if more {
-			w.line = w.text.end(w.line)
-		}
-		if _, err := w.bw.Write(w.line); err != nil {
-			return w.keep(err)
-		}
+	if err := writeStream(w, s); err != nil {
+		return err
 	}
 	return w.EndText()
 }

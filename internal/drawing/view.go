@@ -48,12 +48,6 @@ func (v *View) Drawing() *Data {
 // Selected returns the selected display-list index, -1 for none.
 func (v *View) Selected() int { return v.selected }
 
-// SelectIndex sets the selection directly (tooling).
-func (v *View) SelectIndex(i int) {
-	v.selected = i
-	v.WantUpdate(v.Self())
-}
-
 // DesiredSize implements core.View: the drawing's natural extent.
 func (v *View) DesiredSize(wHint, hHint int) (int, int) {
 	d := v.Drawing()

@@ -75,7 +75,7 @@ func runeCount(s string) int {
 // --- table -------------------------------------------------------------
 
 // Wire form: `t table <pos> <table-payload>` where the payload is
-// table.EncodeOp's cell-set / structural form.
+// table.AppendOp's cell-set / structural form.
 
 func tableCodec() *Codec {
 	return &Codec{

@@ -202,9 +202,10 @@ func (v *View) layoutLine(d *text.Data, pos, width int) ([]pLine, int) {
 	cur := pos
 	lastBreak := -1
 	var child *text.Embedded
+	c := d.Cursor(pos)
 	for cur < d.Len() {
-		r, err := d.RuneAt(cur)
-		if err != nil {
+		r, ok := c.Next()
+		if !ok {
 			break
 		}
 		if r == '\n' {

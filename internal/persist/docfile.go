@@ -91,13 +91,14 @@ func EncodeDocument(doc *text.Data) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// encodedSizeHint is EncodeDocument's up-front buffer size: a byte per
-// rune, a sixth more for escapes and continuation breaks, and room for
-// the markers and style runs. Plain text fits it with room to spare, so
-// the buffer is allocated once; text denser in escapes than that (or a
-// large embedded component) grows it as usual.
+// encodedSizeHint is EncodeDocument's up-front buffer size: the stored
+// bytes (and a byte for each rune still to load), a sixth more for
+// escapes and continuation breaks, and room for the markers and style
+// runs. Plain text fits it with room to spare, so the buffer is
+// allocated once; text denser in escapes than that (or a large embedded
+// component) grows it as usual.
 func encodedSizeHint(doc *text.Data) int {
-	n := doc.Len() + doc.PendingRunes()
+	n := doc.ByteLen() + doc.PendingRunes()
 	return n + n/6 + 32*len(doc.Runs()) + 512
 }
 
@@ -317,15 +318,6 @@ func (df *DocFile) AppendRecord(payload string) error {
 // last read or wrote them: the whole file at Load, and the bytes written
 // by the last successful Save.
 func (df *DocFile) FileCRC() uint32 { return df.crc }
-
-// JournalErr reports the journal's latched error, nil when healthy or when
-// no journal is attached.
-func (df *DocFile) JournalErr() error {
-	if df.journal == nil {
-		return nil
-	}
-	return df.journal.Err()
-}
 
 // logEdit is the document's edit logger. An unjournalable edit appends the
 // reset marker, forces it to disk, and stops logging until the next

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unicode/utf8"
 
 	"atk/internal/class"
 	"atk/internal/core"
@@ -128,18 +129,18 @@ func (t *tailLoader) lineBuffered() bool {
 	return bytes.IndexByte(b, '\n') >= 0
 }
 
-// Next decodes the logical lines the read buffer holds, reading a chunk
-// of the file first if it holds no whole line. It stops before a line
-// that is not wholly buffered, or after one whose continuation had to
-// read the file, so one step reads about one chunk. A line the content
-// region cuts off is not delivered: it latches an error and leaves the
-// document at the last whole line.
-func (t *tailLoader) Next() ([]rune, error) {
+// Next appends the logical lines the read buffer holds to dst, reading
+// a chunk of the file first if it holds no whole line. It stops before a
+// line that is not wholly buffered, or after one whose continuation had
+// to read the file, so one step reads about one chunk. A line the
+// content region cuts off is not delivered: it latches an error and
+// leaves the document at the last whole line.
+func (t *tailLoader) Next(dst []byte) ([]byte, error) {
 	if t.err != nil {
-		return nil, t.err
+		return dst, t.err
 	}
-	var out []rune
-	for len(out) == 0 || t.lineBuffered() {
+	start := len(dst)
+	for len(dst) == start || t.lineBuffered() {
 		unread := t.content.N
 		line, err := t.lr.ReadLogical(math.MaxInt)
 		switch {
@@ -152,25 +153,30 @@ func (t *tailLoader) Next() ([]rune, error) {
 			t.err = fmt.Errorf("persist: reading streamed content: %w", err)
 		}
 		if t.err != nil {
-			return out, t.err
+			return dst, t.err
 		}
 		// The document's loaded prefix holds no content, so the first
 		// logical line delivered is the first line of the document: no
 		// join newline.
-		n := len(out)
+		n := len(dst)
 		if t.linesOut > 0 {
-			out = append(out, '\n')
+			dst = append(dst, '\n')
+			t.runesOut++
 		}
-		for _, r := range string(line) {
-			out = append(out, r)
-		}
-		t.runesOut += len(out) - n
+		dst = append(dst, line...)
+		t.runesOut += utf8.RuneCount(line)
 		t.linesOut++
-		if n > 0 && t.content.N != unread {
+		if n > start && t.content.N != unread {
 			break
 		}
 	}
-	return out, nil
+	return dst, nil
+}
+
+// RemainingBytes is the content bytes not yet decoded, in the file and
+// in the read buffer.
+func (t *tailLoader) RemainingBytes() int {
+	return int(t.content.N) + t.br.Buffered()
 }
 
 // RemainingRunes is the offset index's count of runes not yet delivered,
@@ -178,8 +184,7 @@ func (t *tailLoader) Next() ([]rune, error) {
 // so an index that lies cannot make LoadAll reserve more than the file
 // holds.
 func (t *tailLoader) RemainingRunes() int {
-	left := t.content.N + int64(t.br.Buffered())
-	return int(max(0, min(int64(t.totalRunes-t.runesOut), left)))
+	return max(0, min(t.totalRunes-t.runesOut, t.RemainingBytes()))
 }
 
 func (t *tailLoader) RemainingLines() int {

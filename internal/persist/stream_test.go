@@ -508,7 +508,7 @@ func TestRemainingRunesBoundedByContentBytes(t *testing.T) {
 	if got := tl.RemainingRunes(); got != 8 {
 		t.Fatalf("RemainingRunes = %d before reading, want the 8 content bytes", got)
 	}
-	if _, err := tl.Next(); err != nil && err != io.EOF {
+	if _, err := tl.Next(nil); err != nil && err != io.EOF {
 		t.Fatal(err)
 	}
 	if got := tl.RemainingRunes(); got != 0 {

@@ -287,9 +287,6 @@ func structVerb(op Op) (string, int) {
 	}
 }
 
-// EncodeOp renders op's wire form as a string.
-func EncodeOp(op Op) string { return string(AppendOp(nil, op)) }
-
 // DecodeOp parses one wire payload back into an Op.
 func DecodeOp(s string) (Op, error) {
 	verb, rest, _ := strings.Cut(s, " ")

@@ -18,8 +18,8 @@ func (d *Data) Extract(start, end int) (*Data, error) {
 	}
 	out := New()
 	out.reg = d.reg
-	// Content, anchors included — copied piece-walk-free via the index.
-	out.setContent(d.Runes(start, end))
+	// Content, anchors included, copied as bytes through the index.
+	out.setContent(d.copyBytes(start, end))
 	// Styles: definitions referenced by clipped runs, plus the runs.
 	for _, r := range d.runs {
 		s, e := max(r.Start, start), min(r.End, end)
@@ -52,8 +52,8 @@ func (d *Data) InsertData(pos int, src *Data) error {
 		return nil
 	}
 	// Insert the raw content (anchors included) in one piece-table splice;
-	// insertRunes shifts existing runs and embeds.
-	if err := d.insertRunes(pos, src.Runes(0, src.Len()), "insert"); err != nil {
+	// insertText shifts existing runs and embeds.
+	if err := d.insertText(pos, src.String(), "insert"); err != nil {
 		return err
 	}
 	// Import style definitions and graft the runs.

@@ -1,14 +1,20 @@
 package text
 
-import "atk/internal/chunked"
+import (
+	"bytes"
+	"unicode/utf8"
+
+	"atk/internal/chunked"
+)
 
 // Indexed-buffer layer: the piece table and the newline index, both
-// chunked.Seq sequences, and the rune cursor. A piece's length and a hard
-// line's length are its element lengths in those sequences, so buffer
-// positions are derived, never stored: an edit rewrites one chunk of each
-// index and shifts a few chunk offsets, a point or line lookup is a
-// binary search over chunks plus a scan inside one, and iteration is
-// amortized O(1) per rune.
+// chunked.Seq sequences, and the rune cursor. A piece's rune count and a
+// hard line's length are their element lengths in those sequences, so
+// buffer positions are derived, never stored: an edit rewrites one chunk
+// of each index and shifts a few chunk offsets, a point or line lookup is
+// a binary search over chunks plus a scan inside one (and, in a piece
+// holding non-ASCII text, a scan of at most maxMixed bytes), and
+// iteration is amortized O(1) per rune.
 //
 // Concurrency: like every toolkit data object, Data is not safe for
 // concurrent mutation. Concurrent readers (each with its own Cursor) are
@@ -31,12 +37,14 @@ func (d *Data) bump() { d.gen++ }
 // --- cursor ---
 
 // Cursor is an iteration position in the buffer. Next and Prev run in
-// amortized O(1): the cursor holds the runes of the piece it is in, so
-// sequential iteration never re-walks the piece table. Cursors survive
-// edits: after any Insert/Delete/undo/redo/Compact the cursor re-seeks
-// its numeric position (clamped to the new length) on the next call, in
-// O(log k). The numeric position is NOT shifted across edits — a cursor
-// at position 10 stays at position 10 whatever was inserted before it;
+// amortized O(1): the cursor holds the bytes of the piece it is in and
+// its byte offset there, so sequential iteration never re-walks the
+// piece table; it reads one byte for ASCII and decodes UTF-8 forward or
+// backward otherwise. Cursors survive edits: after any
+// Insert/Delete/undo/redo/Compact the cursor re-seeks its numeric
+// position (clamped to the new length) on the next call, in O(log k).
+// The numeric position is NOT shifted across edits — a cursor at
+// position 10 stays at position 10 whatever was inserted before it;
 // callers tracking a semantic location must Seek explicitly.
 //
 // Cursor is a value type: copying one yields an independent iterator,
@@ -46,8 +54,8 @@ type Cursor struct {
 	gen uint64
 	pos int                 // buffer position of the next rune Next returns
 	it  chunked.Iter[piece] // the piece holding pos, or the end
-	run []rune              // it's runes; nil at the end
-	po  int                 // offset of pos in run (len(run) at a piece's end)
+	run []byte              // it's bytes; nil at the end
+	bo  int                 // byte offset of pos in run (len(run) at a piece's end)
 }
 
 // Cursor returns a cursor positioned at pos (clamped to [0, Len]).
@@ -64,16 +72,19 @@ func (c *Cursor) Seek(pos int) {
 	pos = max(0, min(pos, d.length))
 	c.gen = d.gen
 	c.pos = pos
-	c.it, c.po = d.pieceAt(pos)
+	var po int
+	c.it, po = d.pieceAt(pos)
 	c.load()
+	if c.run != nil {
+		c.bo = byteOff(c.run, c.it.Len(), po)
+	}
 }
 
-// load points run at the runes of the cursor's piece.
+// load points run at the bytes of the cursor's piece and bo at its start.
 func (c *Cursor) load() {
-	c.run = nil
+	c.run, c.bo = nil, 0
 	if c.it.Ok() {
-		p := c.it.Val()
-		c.run = c.d.src(p.src)[p.off : p.off+c.it.Len()]
+		c.run = c.d.bytesOf(c.it.Val())
 	}
 }
 
@@ -92,17 +103,20 @@ func (c *Cursor) revalidate() {
 // at the end of the buffer.
 func (c *Cursor) Next() (r rune, ok bool) {
 	c.revalidate()
-	if c.po == len(c.run) {
+	if c.bo == len(c.run) {
 		if c.pos >= c.d.length {
 			return 0, false
 		}
 		c.it.Next()
 		c.load()
-		c.po = 0
 	}
-	r = c.run[c.po]
-	c.po++
 	c.pos++
+	if b := c.run[c.bo]; b < utf8.RuneSelf {
+		c.bo++
+		return rune(b), true
+	}
+	r, n := utf8.DecodeRune(c.run[c.bo:])
+	c.bo += n
 	return r, true
 }
 
@@ -113,14 +127,19 @@ func (c *Cursor) Prev() (r rune, ok bool) {
 	if c.pos <= 0 {
 		return 0, false
 	}
-	if c.po == 0 {
+	if c.bo == 0 {
 		c.it.Prev()
 		c.load()
-		c.po = len(c.run)
+		c.bo = len(c.run)
 	}
-	c.po--
 	c.pos--
-	return c.run[c.po], true
+	if b := c.run[c.bo-1]; b < utf8.RuneSelf {
+		c.bo--
+		return rune(b), true
+	}
+	r, n := utf8.DecodeLastRune(c.run[:c.bo])
+	c.bo -= n
+	return r, true
 }
 
 // --- newline index ---
@@ -147,19 +166,32 @@ func (d *Data) resetLines() {
 	d.lines.Append(0, struct{}{})
 }
 
-// noteInsert updates the newline index for rs inserted at pos: the line
-// holding pos grows, or splits at each newline in rs.
-func (d *Data) noteInsert(pos int, rs []rune) {
+// noteInsert updates the newline index for b, n runes, inserted at pos:
+// the line holding pos grows, or splits at each newline in b. Newlines
+// are found with IndexByte, and runes are counted only where b is not
+// ASCII.
+func (d *Data) noteInsert(pos, n int, b []byte) {
 	ln := d.lineAt(pos)
-	var lens []int
+	var buf [4]int
+	lens := buf[:0]
 	start := ln.Start() // of the line being split, after the insert
-	for i, r := range rs {
-		if r == '\n' {
-			lens = append(lens, pos+i+1-start)
-			start = pos + i + 1
+	at := pos           // the position of b[i]
+	for i := 0; ; {
+		j := bytes.IndexByte(b[i:], '\n')
+		if j < 0 {
+			break
 		}
+		if len(b) == n {
+			at += j
+		} else {
+			at += utf8.RuneCount(b[i : i+j])
+		}
+		at++ // past the newline
+		lens = append(lens, at-start)
+		start = at
+		i += j + 1
 	}
-	lens = append(lens, ln.End()+len(rs)-start)
+	lens = append(lens, ln.End()+n-start)
 	d.lines.Replace(ln.Index(), ln.Index()+1, lens, make([]struct{}, len(lens)))
 }
 
@@ -180,24 +212,59 @@ func (d *Data) LineOf(pos int) int {
 	return d.lineAt(max(0, min(pos, d.length))).Index()
 }
 
-// Runes returns a copy of the runes in [start, end) (clamped), walking
-// the pieces directly — one allocation, no string round trip.
+// Runes returns a copy of the runes in [start, end) (clamped), decoded
+// from the pieces directly: one allocation, no string round trip.
 func (d *Data) Runes(start, end int) []rune {
-	if start < 0 {
-		start = 0
-	}
-	if end > d.length {
-		end = d.length
-	}
+	start, end = max(start, 0), min(end, d.length)
 	if start >= end {
 		return nil
 	}
 	out := make([]rune, 0, end-start)
-	for it, po := d.pieceAt(start); len(out) < end-start; it.Next() {
-		p := it.Val()
-		take := min(it.Len()-po, end-start-len(out))
-		out = append(out, d.src(p.src)[p.off+po:p.off+po+take]...)
+	d.eachSpan(start, end, func(b []byte) {
+		for i := 0; i < len(b); {
+			r, n := rune(b[i]), 1
+			if r >= utf8.RuneSelf {
+				r, n = utf8.DecodeRune(b[i:])
+			}
+			out = append(out, r)
+			i += n
+		}
+	})
+	return out
+}
+
+// eachSpan calls f with the bytes of [start, end), 0 <= start <= end <=
+// Len, one piece's span at a time.
+func (d *Data) eachSpan(start, end int, f func([]byte)) {
+	for it, po := d.pieceAt(start); start < end; it.Next() {
+		k := min(it.Len()-po, end-start)
+		f(d.span(it, po, k))
+		start += k
 		po = 0
 	}
+}
+
+// span returns the bytes of the k runes at rune offset po of the piece
+// at it.
+func (d *Data) span(it chunked.Iter[piece], po, k int) []byte {
+	b, n := d.bytesOf(it.Val()), it.Len()
+	s := byteOff(b, n, po)
+	return b[s : s+byteOff(b[s:], n-po, k)]
+}
+
+// byteLen returns the UTF-8 length of [start, end), 0 <= start <= end <=
+// Len: whole pieces by their sizes, and a scan only in the first and
+// last.
+func (d *Data) byteLen(start, end int) int {
+	n := 0
+	d.eachSpan(start, end, func(b []byte) { n += len(b) })
+	return n
+}
+
+// copyBytes returns a copy of the bytes of [start, end), 0 <= start <=
+// end <= Len, in one allocation of the exact size.
+func (d *Data) copyBytes(start, end int) []byte {
+	out := make([]byte, 0, d.byteLen(start, end))
+	d.eachSpan(start, end, func(b []byte) { out = append(out, b...) })
 	return out
 }

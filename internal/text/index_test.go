@@ -329,9 +329,11 @@ func TestIndexesAcrossChunks(t *testing.T) {
 	d := New()
 	var oracle []rune
 	for range 300 {
-		rs := []rune(text(rnd.Intn(200)))
-		d.appendTail(rs)
-		oracle = append(oracle, rs...)
+		s := text(rnd.Intn(200))
+		off := len(d.orig)
+		d.orig = append(d.orig, s...)
+		d.appendTail(off)
+		oracle = append(oracle, []rune(s)...)
 	}
 	check := func(step int) {
 		t.Helper()

@@ -131,87 +131,6 @@ func TestQuickOracleMirror(t *testing.T) {
 		A, B uint16
 		S    string
 	}
-	agree := func(d *Data, want []rune) bool {
-		if d.Len() != len(want) {
-			t.Logf("len %d != %d", d.Len(), len(want))
-			return false
-		}
-		for i, w := range want {
-			if r, err := d.RuneAt(i); err != nil || r != w {
-				t.Logf("RuneAt(%d) = %q,%v want %q", i, r, err, w)
-				return false
-			}
-		}
-		if d.String() != string(want) {
-			t.Logf("String mismatch")
-			return false
-		}
-		// A couple of interior slices.
-		if n := len(want); n > 2 {
-			if d.Slice(1, n-1) != string(want[1:n-1]) {
-				t.Logf("Slice(1,%d) mismatch", n-1)
-				return false
-			}
-		}
-		// Cursor sweep, both directions.
-		c := d.Cursor(0)
-		for i, w := range want {
-			if r, ok := c.Next(); !ok || r != w {
-				t.Logf("cursor Next(%d) = %q,%v want %q", i, r, ok, w)
-				return false
-			}
-		}
-		if _, ok := c.Next(); ok {
-			t.Logf("cursor ran past end")
-			return false
-		}
-		for i := len(want) - 1; i >= 0; i-- {
-			if r, ok := c.Prev(); !ok || r != want[i] {
-				t.Logf("cursor Prev(%d) = %q,%v want %q", i, r, ok, want[i])
-				return false
-			}
-		}
-		// Line queries against a scan.
-		nls := 0
-		for _, r := range want {
-			if r == '\n' {
-				nls++
-			}
-		}
-		if d.LineCount() != nls+1 {
-			t.Logf("LineCount = %d want %d", d.LineCount(), nls+1)
-			return false
-		}
-		for pos := 0; pos <= len(want); pos++ {
-			if pos >= 1 {
-				ws := 0
-				for i := pos - 1; i >= 0; i-- {
-					if want[i] == '\n' {
-						ws = i + 1
-						break
-					}
-				}
-				if d.LineStart(pos) != ws {
-					t.Logf("LineStart(%d) = %d want %d", pos, d.LineStart(pos), ws)
-					return false
-				}
-			}
-			if pos < len(want) {
-				we := len(want)
-				for i := pos; i < len(want); i++ {
-					if want[i] == '\n' {
-						we = i
-						break
-					}
-				}
-				if d.LineEnd(pos) != we {
-					t.Logf("LineEnd(%d) = %d want %d", pos, d.LineEnd(pos), we)
-					return false
-				}
-			}
-		}
-		return true
-	}
 	f := func(ops []op) bool {
 		d := NewString("seed\nline two\n")
 		oracle := []rune("seed\nline two\n")
@@ -288,7 +207,7 @@ func TestQuickOracleMirror(t *testing.T) {
 			case 4: // compact: content identical, indexes rebuilt
 				d.Compact()
 			}
-			if !agree(d, oracle) {
+			if !agreesWith(t, d, oracle) {
 				return false
 			}
 		}

@@ -1,8 +1,10 @@
 package text
 
 import (
+	"bytes"
 	"io"
 	"slices"
+	"unicode/utf8"
 
 	"atk/internal/core"
 )
@@ -22,12 +24,16 @@ import (
 // the persistence layer never sees a partial one.
 
 // TailLoader supplies the deferred remainder of a streamed document.
-// Next returns the next run of content runes; it returns io.EOF (with or
-// without a final chunk) when the tail is exhausted. The Remaining
-// estimates come from the save-time offset index and exist for scrollbar
-// geometry — they carry no correctness weight.
+// Next appends the next run of content to dst, as UTF-8 that ends at a
+// rune boundary, and returns the extended slice: the store hands its own
+// buffer in, so the content goes from the file into the store with no
+// copy in between. Next returns io.EOF (with or without a final run)
+// when the tail is exhausted. The Remaining estimates come from the
+// save-time offset index and the file; they size the store and the
+// scrollbar and carry no correctness weight.
 type TailLoader interface {
-	Next() ([]rune, error)
+	Next(dst []byte) ([]byte, error)
+	RemainingBytes() int
 	RemainingRunes() int
 	RemainingLines() int
 	Close() error
@@ -75,10 +81,10 @@ func (d *Data) LoadMore() error {
 	if d.tail == nil {
 		return d.tailErr
 	}
-	rs, err := d.tail.Next()
-	if len(rs) > 0 {
-		d.appendTail(rs)
-	}
+	off := len(d.orig)
+	var err error
+	d.orig, err = d.tail.Next(d.orig)
+	d.appendTail(off)
 	if err != nil {
 		d.closeTail()
 		if err == io.EOF {
@@ -90,12 +96,14 @@ func (d *Data) LoadMore() error {
 	return nil
 }
 
-// LoadAll materializes the whole deferred tail. It reserves the rune
-// store for the estimated remainder first, so the loads append into one
-// allocation instead of regrowing it by doubling.
+// LoadAll materializes the whole deferred tail. It reserves the store
+// for the remainder first, so the loads append into one allocation
+// instead of regrowing it: no more than the content bytes left, which
+// escapes and line breaks only shrink, and no more than UTFMax bytes for
+// each rune left.
 func (d *Data) LoadAll() error {
 	if d.tail != nil {
-		d.orig = slices.Grow(d.orig, d.tail.RemainingRunes())
+		d.orig = slices.Grow(d.orig, min(d.tail.RemainingBytes(), utf8.UTFMax*d.tail.RemainingRunes()))
 	}
 	for d.tail != nil {
 		if err := d.LoadMore(); err != nil {
@@ -121,23 +129,26 @@ func (d *Data) closeTail() {
 	}
 }
 
-// appendTail appends one loaded chunk at the end of the buffer. This is
-// not an edit: no undo record, no journal record, no dirty mark — just
-// the piece table, the newline index, and an observer notification so
-// views extend their layout. Appending at the end never shifts embeds,
-// style runs, or any position a cursor or undo record holds.
-func (d *Data) appendTail(rs []rune) {
-	n := len(rs)
-	if n == 0 {
+// appendTail takes the chunk the loader appended to the original buffer
+// from off into the document, at its end. Bytes that are not valid UTF-8
+// become U+FFFD first. This is not an edit: no undo record, no journal
+// record, no dirty mark — just the piece table, the newline index, and
+// an observer notification so views extend their layout. Appending at
+// the end never shifts embeds, style runs, or any position a cursor or
+// undo record holds.
+func (d *Data) appendTail(off int) {
+	if !utf8.Valid(d.orig[off:]) {
+		d.orig, _ = appendValid(d.orig[:off], bytes.Clone(d.orig[off:]))
+	}
+	b := d.orig[off:]
+	if len(b) == 0 {
 		return
 	}
 	pos := d.length
-	off := len(d.orig)
-	d.orig = append(d.orig, rs...)
-	d.spliceIn(pos, n, piece{srcOrig, off})
+	n := d.spliceIn(pos, srcOrig, off, b)
 	d.length += n
 	d.bump()
-	d.noteInsert(pos, rs)
+	d.noteInsert(pos, n, b)
 	wasClean := !d.Dirty()
 	d.NotifyObservers(core.Change{Kind: "load", Pos: pos, Length: n})
 	if wasClean {

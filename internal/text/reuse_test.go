@@ -1,10 +1,12 @@
 package text
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestBackspaceHandsRunesBackToAddBuffer: typing "abc", Backspace, "d"
@@ -74,48 +76,53 @@ func TestDeleteKeepsAddRunesOtherPiecesUse(t *testing.T) {
 	}
 }
 
-// chunkTail delivers content in fixed-size chunks, recording the rune
-// store's backing array before each delivery.
+// chunkTail delivers content in chunks of about chunk bytes, each cut at
+// a rune boundary, recording the store's backing array before each
+// delivery.
 type chunkTail struct {
 	d      *Data
-	rest   []rune
+	rest   []byte
 	chunk  int
-	stores map[*rune]bool
+	stores map[*byte]bool
 }
 
-func (c *chunkTail) Next() ([]rune, error) {
+func (c *chunkTail) Next(dst []byte) ([]byte, error) {
 	if cap(c.d.orig) > 0 {
 		c.stores[&c.d.orig[:1][0]] = true
 	}
 	n := min(c.chunk, len(c.rest))
-	out := c.rest[:n]
+	for n < len(c.rest) && !utf8.RuneStart(c.rest[n]) {
+		n++
+	}
+	dst = append(dst, c.rest[:n]...)
 	c.rest = c.rest[n:]
 	if len(c.rest) == 0 {
-		return out, io.EOF
+		return dst, io.EOF
 	}
-	return out, nil
+	return dst, nil
 }
-func (c *chunkTail) RemainingRunes() int { return len(c.rest) }
-func (c *chunkTail) RemainingLines() int { return strings.Count(string(c.rest), "\n") }
+func (c *chunkTail) RemainingBytes() int { return len(c.rest) }
+func (c *chunkTail) RemainingRunes() int { return utf8.RuneCount(c.rest) }
+func (c *chunkTail) RemainingLines() int { return bytes.Count(c.rest, []byte("\n")) }
 func (c *chunkTail) Close() error        { return nil }
 
 // TestLoadAllReservesTheStoreOnce: LoadAll of a 200,000-line streamed
-// document appends every chunk into one rune store sized up front.
+// document appends every chunk into one store sized up front.
 func TestLoadAllReservesTheStoreOnce(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 200000; i++ {
 		fmt.Fprintf(&b, "line %d of the streamed document\n", i)
 	}
-	content := []rune(b.String())
+	content := []byte(b.String())
 	d := NewString("")
-	tail := &chunkTail{d: d, rest: content, chunk: 64 << 10, stores: map[*rune]bool{}}
+	tail := &chunkTail{d: d, rest: content, chunk: 64 << 10, stores: map[*byte]bool{}}
 	d.SetTailLoader(tail)
 	if err := d.LoadAll(); err != nil {
 		t.Fatal(err)
 	}
 	tail.stores[&d.orig[:1][0]] = true
 	if len(tail.stores) != 1 {
-		t.Fatalf("the rune store was allocated %d times", len(tail.stores))
+		t.Fatalf("the store was allocated %d times", len(tail.stores))
 	}
 	if d.Len() != len(content) || d.LineCount() != 200001 {
 		t.Fatalf("loaded %d runes, %d lines", d.Len(), d.LineCount())

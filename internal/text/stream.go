@@ -72,20 +72,13 @@ func (d *Data) WritePayload(w *datastream.Writer) error {
 }
 
 // writeText writes [start, end) as one text, handing the writer each
-// piece's runes in place; an empty range writes nothing.
+// piece's bytes in place; an empty range writes nothing. The writer's
+// error is sticky, so EndText reports the first.
 func (d *Data) writeText(w *datastream.Writer, start, end int) error {
 	if start >= end {
 		return nil
 	}
-	for it, po := d.pieceAt(start); start < end; it.Next() {
-		p := it.Val()
-		n := min(it.Len()-po, end-start)
-		if err := w.WriteRunes(d.src(p.src)[p.off+po : p.off+po+n]); err != nil {
-			return err
-		}
-		start += n
-		po = 0
-	}
+	d.eachSpan(start, end, func(b []byte) { _ = w.WriteBytes(b) })
 	return w.EndText()
 }
 
@@ -136,7 +129,8 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 	d.setContent(nil)
 	d.runs, d.embeds = nil, nil
 
-	var content []rune
+	var content []byte // UTF-8, n runes
+	n := 0
 	var pendingObj core.DataObject
 	var runs []Run
 	for {
@@ -160,11 +154,12 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 		case datastream.TokText:
 			// Join contiguous text tokens with newlines (the writer's
 			// contract), taking care at chunk boundaries.
-			for _, r := range tok.Text {
-				content = append(content, r)
-			}
+			var k int
+			content, k = appendValid(content, tok.Text)
+			n += k
 			if next, err := r.Peek(); err == nil && next.Kind == datastream.TokText {
 				content = append(content, '\n')
+				n++
 			}
 		case datastream.TokBegin:
 			if tok.Type == "textstyles" {
@@ -187,9 +182,10 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 				return fmt.Errorf("text: \\view{%s,%d} with no preceding object", tok.Type, tok.ID)
 			}
 			d.embeds = append(d.embeds, &Embedded{
-				Pos: len(content), Obj: pendingObj, ViewName: tok.Type,
+				Pos: n, Obj: pendingObj, ViewName: tok.Type,
 			})
-			content = append(content, AnchorRune)
+			content = append(content, anchorBytes...)
+			n++
 			pendingObj = nil
 		}
 	}

@@ -7,10 +7,12 @@
 package text
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"atk/internal/chunked"
 	"atk/internal/class"
@@ -33,13 +35,6 @@ const (
 	srcAdd
 )
 
-// piece is a run of one source buffer; its length is its element length
-// in Data.pieces.
-type piece struct {
-	src pieceSrc
-	off int
-}
-
 // Embedded records one embedded component: the data object, the view type
 // that should display it, and its rune position in the buffer.
 type Embedded struct {
@@ -52,8 +47,8 @@ type Embedded struct {
 // all toolkit data objects.
 type Data struct {
 	core.BaseData
-	orig   []rune
-	add    []rune
+	orig   []byte // UTF-8; see store.go
+	add    []byte
 	pieces chunked.Seq[piece]
 	length int
 
@@ -101,7 +96,8 @@ func New() *Data {
 // NewString returns a text object initialized with s.
 func NewString(s string) *Data {
 	d := New()
-	d.setContent([]rune(s))
+	b, _ := appendValid(nil, s)
+	d.setContent(b)
 	return d
 }
 
@@ -123,33 +119,63 @@ func (d *Data) RuneAt(pos int) (rune, error) {
 		return 0, fmt.Errorf("%w: %d of %d", ErrRange, pos, d.length)
 	}
 	it, po := d.pieceAt(pos)
-	p := it.Val()
-	return d.src(p.src)[p.off+po], nil
+	b := d.bytesOf(it.Val())
+	if len(b) == it.Len() {
+		return rune(b[po]), nil
+	}
+	r, _ := utf8.DecodeRune(b[byteOff(b, it.Len(), po):])
+	return r, nil
 }
 
-func (d *Data) src(s pieceSrc) []rune {
+func (d *Data) src(s pieceSrc) []byte {
 	if s == srcOrig {
 		return d.orig
 	}
 	return d.add
 }
 
-// Slice returns the runes in [start,end) as a string; anchors appear as
-// AnchorRune. The starting piece is found through the index, so a slice
-// near the end of a fragmented buffer does not walk every piece.
+// bytesOf returns the bytes of piece p.
+func (d *Data) bytesOf(p piece) []byte { return d.src(p.src)[p.off : p.off+p.size] }
+
+// Slice returns the runes in [start,end) (clamped) as a string; anchors
+// appear as AnchorRune. The starting piece is found through the index,
+// so a slice near the end of a fragmented buffer does not walk every
+// piece, and the bytes are copied once, into the string.
 func (d *Data) Slice(start, end int) string {
-	return string(d.Runes(start, end))
+	start, end = max(start, 0), min(end, d.length)
+	if start >= end {
+		return ""
+	}
+	if it, po := d.pieceAt(start); end-start <= it.Len()-po {
+		return string(d.span(it, po, end-start)) // within one piece
+	}
+	var sb strings.Builder
+	sb.Grow(d.byteLen(start, end))
+	d.eachSpan(start, end, func(b []byte) { sb.Write(b) })
+	return sb.String()
 }
 
 // String returns the whole buffer.
 func (d *Data) String() string { return d.Slice(0, d.length) }
 
+// ByteLen returns the length of the loaded text in UTF-8 bytes: what a
+// save encodes, before escapes.
+func (d *Data) ByteLen() int { return d.byteLen(0, d.length) }
+
 // Insert places s at pos. An s containing AnchorRune is rejected; anchors
-// enter only through Embed.
+// enter only through Embed. Each byte of s that is not valid UTF-8 is
+// stored as U+FFFD.
 func (d *Data) Insert(pos int, s string) error {
 	if strings.ContainsRune(s, AnchorRune) {
 		return fmt.Errorf("text: cannot insert anchor rune directly")
 	}
+	return d.insertText(pos, s, "insert")
+}
+
+// insertText appends s to the add buffer, straight from the string (no
+// []rune, no copy of s), and splices it in at pos: pieces, indexes,
+// undo, journal, notify.
+func (d *Data) insertText(pos int, s, kind string) error {
 	d.ensureLoaded()
 	if pos < 0 || pos > d.length {
 		return fmt.Errorf("%w: insert at %d of %d", ErrRange, pos, d.length)
@@ -157,47 +183,21 @@ func (d *Data) Insert(pos int, s string) error {
 	if s == "" {
 		return nil
 	}
-	// Decode straight into the add buffer: replication and journal replay
-	// insert thousands of small strings, and a throwaway []rune(s) per
-	// call is measurable garbage on that path.
 	off := len(d.add)
-	for _, r := range s {
-		d.add = append(d.add, r)
-	}
-	return d.insertPlaced(pos, off, s, "insert")
-}
-
-func (d *Data) insertRunes(pos int, rs []rune, kind string) error {
-	d.ensureLoaded()
-	if pos < 0 || pos > d.length {
-		return fmt.Errorf("%w: insert at %d of %d", ErrRange, pos, d.length)
-	}
-	if len(rs) == 0 {
-		return nil
-	}
-	off := len(d.add)
-	d.add = append(d.add, rs...)
-	return d.insertPlaced(pos, off, string(rs), kind)
-}
-
-// insertPlaced finishes an insert whose runes already sit in the add
-// buffer at [off, len(d.add)): splice, indexes, undo, journal, notify.
-// s is the same content as a string (callers usually have it for free).
-func (d *Data) insertPlaced(pos, off int, s, kind string) error {
-	rs := d.add[off:len(d.add):len(d.add)]
-	n := len(rs)
+	d.add, _ = appendValid(d.add, s)
+	b := d.add[off:len(d.add):len(d.add)]
 	if !d.inUndo && !d.noUndo {
 		d.record(editOp{kind: opInsert, pos: pos, text: s})
 	}
-	d.spliceIn(pos, n, piece{srcAdd, off})
+	n := d.spliceIn(pos, srcAdd, off, b)
 	d.length += n
 	d.bump()
-	d.noteInsert(pos, rs)
+	d.noteInsert(pos, n, b)
 	d.shiftForInsert(pos, n)
 	if d.editLog != nil {
 		// An insert carrying anchor runes (Embed, redo of a deletion that
 		// had embeds) drags live objects the journal cannot serialize.
-		if hasAnchor(rs) {
+		if hasAnchor(b) {
 			d.logEdit(EditRecord{Kind: RecReset, Text: "embedded component"})
 		} else {
 			d.logEdit(EditRecord{Kind: RecInsert, Pos: pos, Text: s})
@@ -207,58 +207,76 @@ func (d *Data) insertPlaced(pos, off int, s, kind string) error {
 	return nil
 }
 
-func hasAnchor(rs []rune) bool {
-	for _, r := range rs {
-		if r == AnchorRune {
-			return true
-		}
-	}
-	return false
+// anchorBytes is AnchorRune's UTF-8 encoding.
+var anchorBytes = []byte(string(AnchorRune))
+
+func hasAnchor(b []byte) bool { return bytes.Contains(b, anchorBytes) }
+
+// setContent replaces the buffer with content, valid UTF-8, and rebuilds
+// the newline index: the initialization path (NewString, ReadPayload,
+// Extract). Styles and embeds are the caller's.
+func (d *Data) setContent(content []byte) {
+	d.setStore(content)
+	d.resetLines()
+	d.noteInsert(0, d.length, content)
 }
 
-// setContent replaces the buffer with content as one original piece
-// and rebuilds the newline index: the initialization path (NewString,
-// ReadPayload, Extract). Styles and embeds are the caller's.
-func (d *Data) setContent(content []rune) {
-	d.orig, d.add, d.length = content, nil, len(content)
+// setStore makes content, valid UTF-8, the original buffer and the whole
+// document, cut into pieces, and empties the add buffer.
+func (d *Data) setStore(content []byte) {
+	d.orig, d.add, d.length = content, nil, 0
 	d.pieces.Reset()
-	if len(content) > 0 {
-		d.pieces.Append(len(content), piece{srcOrig, 0})
+	for i := 0; i < len(content); {
+		size, runes := cut(content[i:])
+		d.pieces.Append(runes, piece{srcOrig, i, size})
+		d.length += runes
+		i += size
 	}
 	d.bump()
-	d.resetLines()
-	d.noteInsert(0, content)
 }
 
-// spliceIn splices the n-rune piece np into the piece list at rune
-// position pos. A piece that lands right after a piece of the same
-// buffer it is contiguous with merges into it (typing, journal replay,
-// replication fan-out and streamed loads all produce such runs);
-// otherwise it opens a slot, splitting the piece that holds pos.
-func (d *Data) spliceIn(pos, n int, np piece) {
+// spliceIn splices the pieces of b, which sits at off in src, into the
+// piece list at rune position pos, and returns b's rune count. A first
+// piece that lands right after a piece it is contiguous with in the same
+// buffer merges into it when the piece rule allows (typing, journal
+// replay, replication fan-out and streamed loads all produce such runs);
+// otherwise the pieces open a slot, splitting the piece that holds pos.
+func (d *Data) spliceIn(pos int, src pieceSrc, off int, b []byte) int {
+	var lbuf [3]int
+	var pbuf [3]piece
+	lens, ps := lbuf[:0], pbuf[:0]
+	var n int
 	it, po := d.pieceAt(pos) // the end for an append
 	i := it.Index()
 	if po > 0 {
 		p := it.Val()
-		d.pieces.Replace(i, i+1, []int{po, n, it.Len() - po}, []piece{p, np, {p.src, p.off + po}})
-		return
+		bo := byteOff(d.bytesOf(p), it.Len(), po)
+		lens, ps = append(lens, po), append(ps, piece{p.src, p.off, bo})
+		lens, ps, n = appendPieces(lens, ps, src, off, b)
+		lens, ps = append(lens, it.Len()-po), append(ps, piece{p.src, p.off + bo, p.size - bo})
+		d.pieces.Replace(i, i+1, lens, ps)
+		return n
 	}
+	lens, ps, n = appendPieces(lens, ps, src, off, b)
 	if i > 0 {
 		prev := it
 		prev.Prev()
-		if p := prev.Val(); p.src == np.src && p.off+prev.Len() == np.off {
-			d.pieces.Replace(i-1, i, []int{prev.Len() + n}, []piece{p})
-			return
+		if p := prev.Val(); mergeable(p, prev.Len(), ps[0], lens[0]) {
+			lens[0] += prev.Len()
+			ps[0] = piece{p.src, p.off, p.size + ps[0].size}
+			d.pieces.Replace(i-1, i, lens, ps)
+			return n
 		}
 	}
-	d.pieces.Replace(i, i, []int{n}, []piece{np})
+	d.pieces.Replace(i, i, lens, ps)
+	return n
 }
 
 // spliceOut removes the rune range [pos, pos+n), n > 0, from the piece
 // list: the pieces it touches give way to the remainders of the first
-// and last of them. Runes cut from the end of the add buffer go back to
-// it, so a Backspace after typing leaves no dead rune and the next
-// keystroke extends the same piece. That is safe because an add rune
+// and last of them. Bytes cut from the end of the add buffer go back to
+// it, so a Backspace after typing leaves no dead byte and the next
+// keystroke extends the same piece. That is safe because an add byte
 // belongs to at most one piece, cursors re-seek on the generation bump,
 // and undo records, the journal and ops carry strings.
 func (d *Data) spliceOut(pos, n int) {
@@ -268,15 +286,17 @@ func (d *Data) spliceOut(pos, n int) {
 	var ps [2]piece
 	k := 0
 	if pos > a.Start() { // left remainder of the first piece
-		lens[k], ps[k] = pos-a.Start(), a.Val()
+		p := a.Val()
+		lens[k], ps[k] = pos-a.Start(), piece{p.src, p.off, byteOff(d.bytesOf(p), a.Len(), pos-a.Start())}
 		k++
 	}
 	p := b.Val()
 	if b.End() > end { // right remainder of the last piece
-		lens[k], ps[k] = b.End()-end, piece{p.src, p.off + end - b.Start()}
+		bo := byteOff(d.bytesOf(p), b.Len(), end-b.Start())
+		lens[k], ps[k] = b.End()-end, piece{p.src, p.off + bo, p.size - bo}
 		k++
-	} else if p.src == srcAdd && p.off+b.Len() == len(d.add) {
-		d.add = d.add[:p.off+max(pos, b.Start())-b.Start()]
+	} else if p.src == srcAdd && p.off+p.size == len(d.add) {
+		d.add = d.add[:p.off+byteOff(d.bytesOf(p), b.Len(), max(pos, b.Start())-b.Start())]
 	}
 	d.pieces.Replace(a.Index(), b.Index()+1, lens[:k], ps[:k])
 }
@@ -326,7 +346,7 @@ func (d *Data) Embed(pos int, obj core.DataObject, viewName string) error {
 	// restores the record along with the anchor rune.
 	suppress := d.inUndo
 	d.inUndo = true
-	err := d.insertRunes(pos, []rune{AnchorRune}, "child")
+	err := d.insertText(pos, string(AnchorRune), "child")
 	d.inUndo = suppress
 	if err != nil {
 		return err
@@ -499,17 +519,11 @@ func (d *Data) LineEnd(pos int) int {
 // PieceCount exposes fragmentation for benchmarks.
 func (d *Data) PieceCount() int { return d.pieces.Len() }
 
-// Compact rebuilds the buffer into a single piece, shedding fragmentation
-// accumulated by editing. Rune positions are unchanged, so the newline
-// index survives; the piece index and outstanding cursors re-seek.
+// Compact rebuilds the buffer into one original buffer, shedding
+// fragmentation accumulated by editing. Rune positions are unchanged, so
+// the newline index survives; the piece index and outstanding cursors
+// re-seek.
 func (d *Data) Compact() {
 	d.ensureLoaded()
-	s := d.Runes(0, d.length)
-	d.orig = s
-	d.add = nil
-	d.pieces.Reset()
-	if len(s) > 0 {
-		d.pieces.Append(len(s), piece{srcOrig, 0})
-	}
-	d.bump()
+	d.setStore(d.copyBytes(0, d.length))
 }

@@ -1,6 +1,10 @@
 package text
 
-import "atk/internal/core"
+import (
+	"unicode/utf8"
+
+	"atk/internal/core"
+)
 
 // Undo support. Every mutating operation records its inverse in a journal;
 // Undo applies inverses onto the redo stack and Redo replays them back.
@@ -95,7 +99,7 @@ func (d *Data) Redo() bool {
 func (d *Data) applyInverse(op editOp) {
 	switch op.kind {
 	case opInsert:
-		_ = d.Delete(op.pos, len([]rune(op.text)))
+		_ = d.Delete(op.pos, utf8.RuneCountInString(op.text))
 	case opDelete:
 		d.restoreDeleted(op)
 	case opStyle:
@@ -103,16 +107,16 @@ func (d *Data) applyInverse(op editOp) {
 		d.logStyle()
 		d.NotifyObservers(core.Change{Kind: "style"})
 	case opEmbed:
-		_ = d.Delete(op.pos, len([]rune(op.text)))
+		_ = d.Delete(op.pos, utf8.RuneCountInString(op.text))
 	}
 }
 
 func (d *Data) applyForward(op editOp) {
 	switch op.kind {
 	case opInsert:
-		_ = d.insertRunes(op.pos, []rune(op.text), "insert")
+		_ = d.insertText(op.pos, op.text, "insert")
 	case opDelete:
-		_ = d.Delete(op.pos, len([]rune(op.text)))
+		_ = d.Delete(op.pos, utf8.RuneCountInString(op.text))
 	case opStyle:
 		d.runs = append([]Run(nil), op.next...)
 		d.logStyle()
@@ -125,7 +129,7 @@ func (d *Data) applyForward(op editOp) {
 // restoreDeleted re-inserts deleted content and resurrects the embed
 // records that pointed into it.
 func (d *Data) restoreDeleted(op editOp) {
-	_ = d.insertRunes(op.pos, []rune(op.text), "insert")
+	_ = d.insertText(op.pos, op.text, "insert")
 	for _, e := range op.embeds {
 		d.embeds = append(d.embeds, &Embedded{Pos: e.Pos, Obj: e.Obj, ViewName: e.ViewName})
 	}

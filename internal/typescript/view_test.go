@@ -8,6 +8,7 @@ import (
 	"atk/internal/core"
 	"atk/internal/text"
 	"atk/internal/textview"
+	"atk/internal/widgets"
 	"atk/internal/wsys"
 	"atk/internal/wsys/memwin"
 )
@@ -156,5 +157,43 @@ func TestRegisterViewClass(t *testing.T) {
 	}
 	if _, ok := obj.(*View); !ok {
 		t.Fatalf("got %T", obj)
+	}
+}
+
+// TestScrollBarFollowsWrappedTextView: in a scroll view, a typescript
+// view's text view posts its own damage, which reaches the scroll view
+// from below its body. Typing that wraps and scrolls the transcript must
+// still move the bar's thumb: after every key, the incremental flush
+// equals a full redraw.
+func TestScrollBarFollowsWrappedTextView(t *testing.T) {
+	reg := class.NewRegistry()
+	if err := text.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := textview.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	ws := memwin.New()
+	w, err := ws.NewWindow("ts", 200, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := w.(*memwin.Window)
+	im := core.NewInteractionManager(ws, win)
+	im.SetChild(widgets.NewScrollView(NewView(reg, NewSession())))
+	im.FullRedraw()
+	win.Inject(wsys.Click(50, 20))
+	win.Inject(wsys.Release(50, 20))
+	im.DrainEvents()
+	im.FlushUpdates()
+	for i, r := range "echo the quick brown fox jumps over the lazy dog again and again" {
+		win.Inject(wsys.KeyPress(r))
+		im.DrainEvents()
+		im.FlushUpdates()
+		inc := win.Snapshot()
+		im.FullRedraw()
+		if !inc.Equal(win.Snapshot()) {
+			t.Fatalf("after key %d (%q): the incremental flush differs from a full redraw", i+1, r)
+		}
 	}
 }

@@ -34,6 +34,8 @@ type ScrollBar struct {
 	dragging bool
 	// dragOff is the pointer offset within the thumb during a drag.
 	dragOff int
+	// drawn is the target's ScrollInfo when the bar last drew its thumb.
+	drawn [3]int
 }
 
 // NewScrollBar returns a scroll bar controlling target.
@@ -43,18 +45,24 @@ func NewScrollBar(target Scrollee) *ScrollBar {
 	return sb
 }
 
-// Target returns the controlled scrollee.
-func (sb *ScrollBar) Target() Scrollee { return sb.target }
-
 // DesiredSize implements core.View: fixed width, any height.
 func (sb *ScrollBar) DesiredSize(wHint, hHint int) (int, int) {
 	return ScrollBarWidth, hHint
 }
 
-// thumb computes the elevator rectangle for the current scroll state.
-func (sb *ScrollBar) thumb() graphics.Rect {
-	h := sb.Bounds().Dy()
+// scrollInfo returns the target's ScrollInfo as one value.
+func (sb *ScrollBar) scrollInfo() [3]int {
 	total, top, visible := sb.target.ScrollInfo()
+	return [3]int{total, top, visible}
+}
+
+// thumb computes the elevator rectangle for the current scroll state.
+func (sb *ScrollBar) thumb() graphics.Rect { return sb.thumbFor(sb.scrollInfo()) }
+
+// thumbFor computes the elevator rectangle for scroll state s.
+func (sb *ScrollBar) thumbFor(s [3]int) graphics.Rect {
+	h := sb.Bounds().Dy()
+	total, top, visible := s[0], s[1], s[2]
 	if total <= 0 || total <= visible {
 		return graphics.XYWH(1, 0, ScrollBarWidth-2, h)
 	}
@@ -76,7 +84,8 @@ func (sb *ScrollBar) FullUpdate(d *graphics.Drawable) {
 	d.SetValue(graphics.Gray)
 	d.FillRect(graphics.XYWH(ScrollBarWidth/2-1, 0, 2, r.Dy()))
 	d.SetValue(graphics.Black)
-	th := sb.thumb()
+	sb.drawn = sb.scrollInfo()
+	th := sb.thumbFor(sb.drawn)
 	d.DrawRect(th)
 	d.SetValue(graphics.Gray)
 	d.FillRect(th.Inset(1))
@@ -90,12 +99,13 @@ func (sb *ScrollBar) Hit(a wsys.MouseAction, p graphics.Point, clicks int) core.
 			return nil
 		}
 	}
-	total, top, visible := sb.target.ScrollInfo()
+	s := sb.scrollInfo()
+	total, top, visible := s[0], s[1], s[2]
 	h := sb.Bounds().Dy()
 	if h <= 0 {
 		return sb.Self()
 	}
-	th := sb.thumb()
+	th := sb.thumbFor(s)
 	switch a {
 	case wsys.MouseDown:
 		switch {
@@ -136,6 +146,9 @@ type ScrollView struct {
 	core.BaseView
 	bar  *ScrollBar
 	body Scrollee
+	// check marks a whole-view update request from the body's subtree
+	// since the last flush (see PrepareUpdate).
+	check bool
 }
 
 // NewScrollView wraps body with a scroll bar.
@@ -173,18 +186,34 @@ func (sv *ScrollView) FullUpdate(d *graphics.Drawable) {
 	sv.body.FullUpdate(d.Sub(sv.body.Bounds()))
 }
 
-// WantUpdate implements core.View: a whole-bounds repaint of the body
-// means its scroll state may have changed (content grew or shrank, or it
-// scrolled programmatically), which moves the bar's thumb — a sibling
-// whose geometry is derived from the body's ScrollInfo at draw time. The
-// bar is damaged along with the body before the request is forwarded up.
-// Region damage is exempt: the incremental line-repair path preserves
-// line count, heights and scroll position, so the thumb cannot move.
+// WantUpdate implements core.View. A whole-view request from anywhere in
+// the body's subtree — the body, or a text view a wrapper like the
+// typescript view composes — may come with a new scroll state (content
+// grew or shrank, or it scrolled), which moves the bar's thumb: a
+// sibling whose geometry is derived from the body's ScrollInfo at draw
+// time. The check waits for the flush (PrepareUpdate). Region damage is
+// exempt: the incremental line-repair path preserves line count, heights
+// and scroll position, so the thumb cannot move.
 func (sv *ScrollView) WantUpdate(v core.View) {
-	if v == core.View(sv.body) || v == sv.body.Self() {
-		sv.BaseView.WantUpdate(sv.bar)
+	if v != core.View(sv.bar) {
+		sv.check = true
 	}
 	sv.BaseView.WantUpdate(v)
+}
+
+// PrepareUpdate implements core.Preparer: before the flush paints, the
+// bar is damaged if the body's ScrollInfo differs from what the bar last
+// drew. ScrollInfo lays out only the viewport, which the flush is about
+// to lay out and paint anyway, and the check runs once per flush however
+// many requests came before it.
+func (sv *ScrollView) PrepareUpdate() {
+	if !sv.check {
+		return
+	}
+	sv.check = false
+	if sv.bar.scrollInfo() != sv.bar.drawn {
+		sv.BaseView.WantUpdate(sv.bar)
+	}
 }
 
 // Hit implements core.View: the bar is offered the event when it lands on

@@ -17,8 +17,9 @@ test:
 # race detector (which includes the golden-frame comparisons), reruns the
 # docserve soak and table-collaboration tests and the loadgen tests 20
 # times under it (their interleavings vary run to run, so one pass
-# proves little), smoke-fuzzes the datastream reader and its line
-# reader, the write→read→write round trip through the full component
+# proves little), smoke-fuzzes the datastream reader, its line reader
+# and its escape encoder (against the byte loop it grew from), the
+# write→read→write round trip through the full component
 # registry, the streamed encoding of edited documents, the text store
 # against its []rune oracle, and the repaint equivalence oracle on both
 # of its fixtures,
@@ -33,6 +34,7 @@ verify:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzLineReader -fuzztime=10s ./internal/datastream
+	$(GO) test -fuzz=FuzzEscapeText -fuzztime=10s ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzDataOracle -fuzztime=10s ./internal/text
@@ -60,6 +62,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/datastream
 	$(GO) test -fuzz=FuzzLineReader -fuzztime=$(FUZZTIME) ./internal/datastream
+	$(GO) test -fuzz=FuzzEscapeText -fuzztime=$(FUZZTIME) ./internal/datastream
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzEncodeEdited -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzDataOracle -fuzztime=$(FUZZTIME) ./internal/text

@@ -413,3 +413,77 @@ func TestTokenKindString(t *testing.T) {
 		t.Fatal("unknown kind empty")
 	}
 }
+
+// TestWriterContent: Content gives the byte range of the last top-level
+// object's content, from its first text (past a nested block written
+// before it) to its end marker, and the end marker's offset twice for an
+// object with no text.
+func TestWriterContent(t *testing.T) {
+	var sb strings.Builder
+	w := NewWriter(&sb)
+	if s, e := w.Content(); s != -1 || e != -1 {
+		t.Fatalf("before any object: Content() = %d, %d", s, e)
+	}
+	check := func(what, startLine, endLine string) {
+		t.Helper()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out := sb.String()
+		s, e := w.Content()
+		if s < 0 || e < s || e > int64(len(out)) ||
+			!strings.HasPrefix(out[s:], startLine) || !strings.HasPrefix(out[e:], endLine) {
+			t.Fatalf("%s: Content() = %d, %d in %q", what, s, e, out)
+		}
+	}
+	if _, err := w.Begin("text"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Begin("textstyles"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRawLine("run 0 1 bold"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBytes([]byte("first\nsecond")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	check("text after styles", "first\n", "\\enddata{text,1}\n")
+
+	if _, err := w.Begin("text"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	check("a second, empty object", "\\enddata{text,3}\n", "\\enddata{text,3}\n")
+	if s, e := w.Content(); s != e {
+		t.Fatalf("empty object: Content() = %d, %d", s, e)
+	}
+}
+
+// TestReaderRemaining: a reader over bytes in hand knows how many are
+// left, however much of them its buffer has taken; over a stream that
+// does not say, it reports none.
+func TestReaderRemaining(t *testing.T) {
+	doc := "\\begindata{text,1}\nhello\n\\enddata{text,1}\n"
+	r := NewReader(strings.NewReader(doc))
+	if got := r.Remaining(); got != len(doc) {
+		t.Fatalf("before reading: Remaining() = %d, want %d", got, len(doc))
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Remaining(), len(doc)-len("\\begindata{text,1}\n"); got != want {
+		t.Fatalf("after the begin marker: Remaining() = %d, want %d", got, want)
+	}
+	if got := NewReader(io.MultiReader(strings.NewReader(doc))).Remaining(); got != 0 {
+		t.Fatalf("over a stream of unknown length: Remaining() = %d, want 0", got)
+	}
+}

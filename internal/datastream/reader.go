@@ -122,6 +122,7 @@ type Options struct {
 // see Mode.
 type Reader struct {
 	lr     *LineReader
+	src    io.Reader
 	stack  []openObj
 	mode   Mode
 	limits Limits
@@ -156,7 +157,19 @@ func NewReaderOptions(r io.Reader, opts Options) *Reader {
 	if lim.MaxPayloadBytes <= 0 {
 		lim.MaxPayloadBytes = DefaultLimits.MaxPayloadBytes
 	}
-	return &Reader{lr: NewLineReader(bufio.NewReader(r), lim.MaxLineBytes), mode: opts.Mode, limits: lim}
+	return &Reader{lr: NewLineReader(bufio.NewReader(r), lim.MaxLineBytes), src: r, mode: opts.Mode, limits: lim}
+}
+
+// Remaining returns how many bytes of the stream are left to read, when
+// its source says how many it holds (a *bytes.Reader or a
+// *strings.Reader: anything with a Len method), and 0 when it does not.
+// A reader of an object can size its buffers from it.
+func (r *Reader) Remaining() int {
+	src, ok := r.src.(interface{ Len() int })
+	if !ok {
+		return 0
+	}
+	return r.lr.br.Buffered() + src.Len()
 }
 
 // Mode returns the reader's error-handling mode.

@@ -61,6 +61,11 @@ type Writer struct {
 	text   lineEnc
 	inText bool
 	line   []byte
+
+	// off counts the bytes written; content is the byte range of the
+	// last top-level object's content (see Content), -1 until known.
+	off     int64
+	content [2]int64
 }
 
 type openObj struct {
@@ -70,7 +75,28 @@ type openObj struct {
 
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w), nextID: 1}
+	return &Writer{bw: bufio.NewWriter(w), nextID: 1, content: [2]int64{-1, -1}}
+}
+
+// Content returns the byte offsets, counted from the first byte this
+// Writer wrote, of the content of the last top-level object it ended:
+// where that object's first text began, and where its end marker began.
+// An object with no text gives the end marker's offset for both. Before
+// any top-level object has ended it returns -1, -1.
+func (w *Writer) Content() (start, end int64) { return w.content[0], w.content[1] }
+
+// emit writes one whole physical line (or, from the streaming text entry,
+// a run of them) and counts its bytes.
+func (w *Writer) emit(b []byte) error {
+	n, err := w.bw.Write(b)
+	w.off += int64(n)
+	return w.keep(err)
+}
+
+// emitLine writes s and a newline.
+func (w *Writer) emitLine(s string) error {
+	w.line = append(append(w.line[:0], s...), '\n')
+	return w.emit(w.line)
 }
 
 // Begin opens a new object of the given type and returns its stream ID.
@@ -106,9 +132,11 @@ func (w *Writer) BeginID(typ string, id int) error {
 		w.err = fmt.Errorf("%w: marker %q is %d chars; type name too long", ErrLongLine, marker, len(marker))
 		return w.err
 	}
+	if len(w.stack) == 0 {
+		w.content = [2]int64{-1, -1}
+	}
 	w.stack = append(w.stack, openObj{typ, id})
-	_, err := fmt.Fprintf(w.bw, "%s\n", marker)
-	return w.keep(err)
+	return w.emitLine(marker)
 }
 
 // End closes the most recently begun object.
@@ -122,8 +150,13 @@ func (w *Writer) End() error {
 	}
 	top := w.stack[len(w.stack)-1]
 	w.stack = w.stack[:len(w.stack)-1]
-	_, err := fmt.Fprintf(w.bw, "\\enddata{%s,%d}\n", top.typ, top.id)
-	return w.keep(err)
+	if len(w.stack) == 0 {
+		w.content[1] = w.off
+		if w.content[0] < 0 {
+			w.content[0] = w.off
+		}
+	}
+	return w.emitLine(fmt.Sprintf("\\enddata{%s,%d}", top.typ, top.id))
 }
 
 // View emits a \view{type,id} reference: "a view of the given type is
@@ -141,8 +174,7 @@ func (w *Writer) View(viewType string, id int) error {
 		w.err = fmt.Errorf("%w: marker %q is %d chars; view name too long", ErrLongLine, marker, len(marker))
 		return w.err
 	}
-	_, err := fmt.Fprintf(w.bw, "%s\n", marker)
-	return w.keep(err)
+	return w.emitLine(marker)
 }
 
 // textChunk bounds how many bytes the streaming text entry escapes
@@ -166,6 +198,9 @@ func writeStream[S string | []byte](w *Writer, s S) error {
 	if w.err != nil {
 		return w.err
 	}
+	if !w.inText && len(w.stack) == 1 && w.content[0] < 0 {
+		w.content[0] = w.off
+	}
 	w.inText = true
 	for len(s) > 0 {
 		n := len(s)
@@ -179,8 +214,8 @@ func writeStream[S string | []byte](w *Writer, s S) error {
 			}
 		}
 		w.line = escapeBytes(&w.text, w.line[:0], s[:n], true)
-		if _, err := w.bw.Write(w.line); err != nil {
-			return w.keep(err)
+		if err := w.emit(w.line); err != nil {
+			return err
 		}
 		s = s[n:]
 	}
@@ -195,8 +230,7 @@ func (w *Writer) EndText() error {
 	}
 	w.inText = false
 	w.line = w.text.end(w.line[:0])
-	_, err := w.bw.Write(w.line)
-	return w.keep(err)
+	return w.emit(w.line)
 }
 
 // WriteText encodes arbitrary text (any runes, any length) as payload
@@ -236,8 +270,7 @@ func (w *Writer) WriteRawLine(s string) error {
 		w.err = fmt.Errorf("%w: raw line starts with backslash", ErrSyntax)
 		return w.err
 	}
-	_, err := fmt.Fprintln(w.bw, s)
-	return w.keep(err)
+	return w.emitLine(s)
 }
 
 // Depth returns how many objects are currently open.

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -327,8 +329,9 @@ func TestSaveFsyncFailureReported(t *testing.T) {
 
 // crashSession is one scripted editing session: load, journal, edit, sync,
 // save mid-way, edit more. Errors are ignored — after the injected crash
-// every filesystem call fails, which is exactly the point.
-func crashSession(fsys FS, reg *class.Registry, record func(*text.Data)) {
+// every filesystem call fails, which is exactly the point. save, when
+// set, stands in for the session's one Save.
+func crashSession(fsys FS, reg *class.Registry, record func(*text.Data), save func(*DocFile)) {
 	rec := func(d *text.Data) {
 		if record != nil {
 			record(d)
@@ -349,7 +352,11 @@ func crashSession(fsys FS, reg *class.Registry, record func(*text.Data)) {
 	_ = df.Sync()
 	_ = doc.Delete(0, 6)
 	rec(doc)
-	_ = df.Save()
+	if save != nil {
+		save(df)
+	} else {
+		_ = df.Save()
+	}
 	_ = doc.Insert(doc.Len(), "after the save\n")
 	rec(doc)
 	_ = doc.Insert(3, "unicode β∂ £\n")
@@ -363,10 +370,28 @@ func crashSession(fsys FS, reg *class.Registry, record func(*text.Data)) {
 // between every pair of filesystem operations in a full edit/sync/save
 // session. Whatever the crash point, reopening must yield a document that
 // is byte-identical (under datastream serialization) to the saved state
-// plus some prefix of the edits — old or journaled, never torn.
+// plus some prefix of the edits — old or journaled, never torn. It runs
+// on a short document and on one larger than the save's write buffer,
+// whose save reaches the file in several writes; for that one, each of
+// those writes also fails in turn (ENOSPC after a short write).
 func TestCrashPointMatrix(t *testing.T) {
+	t.Run("short", func(t *testing.T) {
+		crashPointMatrix(t, "The quick brown fox jumps over the lazy dog.\n")
+	})
+	t.Run("past the write buffer", func(t *testing.T) {
+		seed := bigContent(9000)
+		if len(seed) < 2*saveBuffer {
+			t.Fatalf("seed of %d bytes fits two save buffers", len(seed))
+		}
+		legal := crashPointMatrix(t, seed)
+		saveWriteSweep(t, seed, legal)
+	})
+}
+
+// crashPointMatrix runs the crash-point matrix over a session starting
+// from seed and returns the legal recovered states.
+func crashPointMatrix(t *testing.T, seed string) map[string]int {
 	reg := newReg(t)
-	const seed = "The quick brown fox jumps over the lazy dog.\n"
 
 	// Legal outcomes: the seed state and every prefix of the session's
 	// edit sequence (a mid-session save does not change the content, only
@@ -386,13 +411,13 @@ func TestCrashPointMatrix(t *testing.T) {
 	addState(text.NewString(seed))
 	shadow := NewMemFS()
 	seedDoc(t, shadow, seed)
-	crashSession(shadow, reg, addState)
+	crashSession(shadow, reg, addState, nil)
 
 	// Learn the clean session's length in filesystem operations.
 	probeMem := NewMemFS()
 	seedDoc(t, probeMem, seed)
 	probe := NewFaultFS(probeMem)
-	crashSession(probe, reg, nil)
+	crashSession(probe, reg, nil, nil)
 	total := probe.Ops()
 	if total < 20 {
 		t.Fatalf("session too short to be interesting: %d ops", total)
@@ -404,41 +429,102 @@ func TestCrashPointMatrix(t *testing.T) {
 		ffs := NewFaultFS(mem)
 		ffs.CrashAfter = n
 		ffs.OnCrash = mem.Crash
-		crashSession(ffs, reg, nil)
+		crashSession(ffs, reg, nil, nil)
 		if !ffs.Crashed() {
 			t.Fatalf("crash point %d never fired", n)
 		}
-
-		df, err := Load(mem, "doc.d", reg, datastream.Strict)
-		if err != nil {
-			t.Fatalf("crash point %d: document unreadable: %v\ntrace: %v",
-				n, err, ffs.Trace())
-		}
-		got, err := EncodeDocument(df.Doc)
-		if err != nil {
-			t.Fatalf("crash point %d: %v", n, err)
-		}
-		if _, ok := legal[string(got)]; !ok {
-			t.Errorf("crash point %d: recovered a state outside the legal set\ntrace: %v\ngot:\n%s",
-				n, ffs.Trace(), got)
-		}
+		checkLegal(t, fmt.Sprintf("crash point %d", n), mem, reg, legal, ffs.Trace())
 	}
 
 	// And the degenerate end point: the session finishes, then the crash.
 	mem := NewMemFS()
 	seedDoc(t, mem, seed)
-	crashSession(mem, reg, nil)
+	crashSession(mem, reg, nil, nil)
 	mem.Crash()
+	checkLegal(t, "post-session crash", mem, reg, legal, nil)
+	return legal
+}
+
+// checkLegal reopens the document and requires one of the legal states.
+func checkLegal(t *testing.T, what string, mem *MemFS, reg *class.Registry, legal map[string]int, trace []string) {
+	t.Helper()
 	df, err := Load(mem, "doc.d", reg, datastream.Strict)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: document unreadable: %v\ntrace: %v", what, err, trace)
 	}
 	got, err := EncodeDocument(df.Doc)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", what, err)
 	}
 	if _, ok := legal[string(got)]; !ok {
-		t.Errorf("post-session crash recovered a state outside the legal set:\n%s", got)
+		t.Errorf("%s: recovered a state outside the legal set\ntrace: %v\ngot:\n%.2000s", what, trace, got)
+	}
+}
+
+// saveWriteSweep fails each write of the session's save in turn. The
+// save must report the error and leave the old file, its sidecar and its
+// journal exactly as they were; the session then goes on, and a reopen
+// after a crash at its end must give a legal state.
+func saveWriteSweep(t *testing.T, seed string, legal map[string]int) {
+	reg := newReg(t)
+	probeMem := NewMemFS()
+	seedDoc(t, probeMem, seed)
+	probe := NewFaultFS(probeMem)
+	crashSession(probe, reg, nil, nil)
+	var saveWrites []int // ordinals, among all writes, of the save's
+	writes := 0
+	for _, op := range probe.Trace() {
+		_, op, _ = strings.Cut(op, ":")
+		if strings.HasPrefix(op, "write ") {
+			writes++
+			if op == "write doc.d.tmp" {
+				saveWrites = append(saveWrites, writes)
+			}
+		}
+	}
+	if len(saveWrites) < 2 {
+		t.Fatalf("the save reached the file in %d writes; the sweep wants several", len(saveWrites))
+	}
+	t.Logf("the save reaches the file in %d writes", len(saveWrites))
+
+	files := []string{"doc.d", IndexPath("doc.d"), JournalPath("doc.d")}
+	snapshot := func(fsys FS) []string {
+		var out []string
+		for _, name := range files {
+			b, err := ReadFile(fsys, name)
+			if err != nil {
+				t.Fatalf("reading %s: %v", name, err)
+			}
+			out = append(out, string(b))
+		}
+		return out
+	}
+	for _, k := range saveWrites {
+		mem := NewMemFS()
+		seedDoc(t, mem, seed)
+		ffs := NewFaultFS(mem)
+		ffs.FailWriteAt = k
+		saved := false
+		crashSession(ffs, reg, nil, func(df *DocFile) {
+			saved = true
+			before := snapshot(mem)
+			if err := df.Save(); !errors.Is(err, ErrNoSpace) {
+				t.Errorf("write %d failed, but the save returned %v", k, err)
+			}
+			for i, b := range snapshot(mem) {
+				if b != before[i] {
+					t.Errorf("write %d failed, and %s changed", k, files[i])
+				}
+			}
+			if Exists(mem, "doc.d.tmp") {
+				t.Errorf("write %d failed, and the temporary file is left behind", k)
+			}
+		})
+		if !saved {
+			t.Fatalf("write %d: the session never saved", k)
+		}
+		mem.Crash()
+		checkLegal(t, fmt.Sprintf("failed write %d", k), mem, reg, legal, ffs.Trace())
 	}
 }
 

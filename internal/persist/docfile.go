@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
@@ -96,7 +97,8 @@ func EncodeDocument(doc *text.Data) ([]byte, error) {
 // escapes and continuation breaks, and room for the markers and style
 // runs. Plain text fits it with room to spare, so the buffer is
 // allocated once; text denser in escapes than that (or a large embedded
-// component) grows it as usual.
+// component) grows it as usual. A save of a small document sizes its
+// write buffer from it too.
 func encodedSizeHint(doc *text.Data) int {
 	n := doc.ByteLen() + doc.PendingRunes()
 	return n + n/6 + 32*len(doc.Runs()) + 512
@@ -109,12 +111,19 @@ func SaveDocument(fsys FS, path string, doc *text.Data) error {
 	return err
 }
 
+// saveBuffer caps the buffer a save writes the file through, so a save
+// holds a fixed amount of memory whatever the document's size.
+const saveBuffer = 256 << 10
+
 // save is the one save routine behind SaveDocument and DocFile.Save, a
-// single pass over the document: one encode, then the offset index built
-// on a goroutine while AtomicWrite writes and fsyncs the same bytes. The
-// index is joined on every path, and written only after the rename and
-// the directory fsync, so the file operations keep their order. It
-// returns the index, whose DocCRC binds a journal to the saved bytes.
+// single pass over the document: the encoder streams the piece table
+// through a buffer of at most saveBuffer bytes into AtomicWrite's
+// temporary file, and the offset index comes from that write — the
+// bytes' count and CRCs as they pass (indexWriter), the content's byte
+// range from the Writer, its rune and line counts from the document.
+// The sidecar is written only after the rename and the directory fsync,
+// so the file operations keep their order. It returns the index, whose
+// DocCRC binds a journal to the saved bytes.
 func save(fsys FS, path string, doc *text.Data) (*DocIndex, error) {
 	// A streamed document saves its tail too — and if the tail could not
 	// be loaded, overwriting the original with the truncated buffer would
@@ -122,17 +131,24 @@ func save(fsys FS, path string, doc *text.Data) (*DocIndex, error) {
 	if err := doc.LoadAll(); err != nil {
 		return nil, fmt.Errorf("persist: refusing to save a truncated document: %w", err)
 	}
-	b, err := EncodeDocument(doc)
-	if err != nil {
-		return nil, err
-	}
-	built := make(chan *DocIndex)
-	go func() { built <- BuildIndex(b) }()
-	err = AtomicWrite(fsys, path, func(w io.Writer) error {
-		_, werr := w.Write(b)
-		return werr
+	var ix *DocIndex
+	err := AtomicWrite(fsys, path, func(f io.Writer) error {
+		iw := &indexWriter{w: f}
+		bw := bufio.NewWriterSize(iw, min(saveBuffer, encodedSizeHint(doc)))
+		w := datastream.NewWriter(bw)
+		id, err := core.WriteObject(w, doc)
+		if err == nil {
+			err = w.Close()
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			return err
+		}
+		ix = iw.index(doc, id, w)
+		return nil
 	})
-	ix := <-built
 	if err != nil {
 		return nil, err
 	}
@@ -144,6 +160,51 @@ func save(fsys FS, path string, doc *text.Data) (*DocIndex, error) {
 		_ = fsys.Remove(IndexPath(path))
 	}
 	return ix, nil
+}
+
+// indexWriter passes a save's bytes on to the file and keeps what the
+// offset index binds of them: their count, the CRC of them all, and the
+// CRC of the first headProbe.
+type indexWriter struct {
+	w         io.Writer
+	n         int64
+	crc, head uint32
+}
+
+func (iw *indexWriter) Write(p []byte) (int, error) {
+	n, err := iw.w.Write(p)
+	if h := headProbe - iw.n; h > 0 {
+		iw.head = crc32.Update(iw.head, crc32.IEEETable, p[:min(int64(n), h)])
+	}
+	iw.crc = crc32.Update(iw.crc, crc32.IEEETable, p[:n])
+	iw.n += int64(n)
+	return n, err
+}
+
+// index is the offset index of the document doc that w wrote through iw
+// as object id: what BuildIndex would read back from the bytes, without
+// reading them. The document is streamable when it embeds nothing, and
+// its content holds Lines logical lines — its hard lines, or none when
+// it is empty — whose runes are its own less the newlines between them.
+func (iw *indexWriter) index(doc *text.Data, id int, w *datastream.Writer) *DocIndex {
+	lines := doc.LineCount()
+	if doc.Len() == 0 {
+		lines = 0
+	}
+	start, end := w.Content()
+	return &DocIndex{
+		DocLen:       iw.n,
+		DocCRC:       iw.crc,
+		HeadLen:      int(min(iw.n, headProbe)),
+		HeadCRC:      iw.head,
+		CompType:     doc.TypeName(),
+		CompID:       id,
+		ContentStart: start,
+		ContentEnd:   end,
+		Streamable:   len(doc.Embeds()) == 0,
+		Runes:        doc.Len() - max(lines-1, 0),
+		Lines:        lines,
+	}
 }
 
 // baseHeader is the journal header binding it to an exact saved file — a

@@ -375,8 +375,8 @@ func TestBuildIndexMatchesFullDecode(t *testing.T) {
 
 // TestSaveFaultKeepsOldFileAndIndex fails the save's temp write, its
 // fsync and its rename in turn. Each time Save returns the error, the old
-// file and its offset index still serve a streamed open, and the index
-// goroutine has been joined.
+// file and its offset index still serve a streamed open, and the save has
+// left no goroutine behind.
 func TestSaveFaultKeepsOldFileAndIndex(t *testing.T) {
 	reg := newReg(t)
 	old := bigContent(400)
@@ -427,8 +427,7 @@ func TestSaveFaultKeepsOldFileAndIndex(t *testing.T) {
 			if err := df.Save(); err == nil {
 				t.Fatal("save under an injected fault reported success")
 			}
-			// The index goroutine is joined before Save returns; allow
-			// it only the moment it takes to exit after handing over.
+			// Allow a goroutine only the moment it would take to exit.
 			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
 				if time.Now().After(deadline) {
 					t.Fatalf("%d goroutines after the failed save, %d before", runtime.NumGoroutine(), before)
@@ -485,12 +484,19 @@ func TestFileCRCIsTheFileBytes(t *testing.T) {
 // FuzzEncodeEdited applies a fuzzed edit script to a fuzzed text and
 // checks the encoding two ways: against the old path's bytes, and by
 // re-reading it strictly. Parsed documents hold one piece; the script's
-// edits are what make the encoder cross piece boundaries. A document
-// without embeds is also saved and opened streamed, which must read
-// back what the eager open reads.
+// edits are what make the encoder cross piece boundaries. Every document
+// is then saved: the file must hold the encoding, and the sidecar the
+// save took from its write must be what BuildIndex reads back from the
+// file — every field for a streamable document, and the binding to the
+// bytes for one with embeds. A document without embeds is also opened
+// streamed, which must read back what the eager open reads.
 func FuzzEncodeEdited(f *testing.F) {
 	f.Add("hello\nworld", []byte{0, 3, 200, 1, 5, 100, 2, 0, 255, 3, 9, 40})
 	f.Add(strings.Repeat("long line ", 20)+"\n\\tab\t\x01é𝔘\n", []byte{0, 40, 128, 0, 7, 3, 1, 20, 64, 0, 90, 250})
+	f.Add("", []byte{})                                  // no content at all
+	f.Add("\n", []byte{2, 0, 255})                       // one empty line, styled
+	f.Add("embed only", []byte{1, 15, 0, 3, 0, 0})       // content deleted, a table left
+	f.Add(strings.Repeat("x", 78)+"\n", []byte{0, 0, 0}) // a line at the wrap edge
 	reg := newEditReg(f)
 	f.Fuzz(func(t *testing.T, s string, script []byte) {
 		d := text.New()
@@ -533,12 +539,30 @@ func FuzzEncodeEdited(f *testing.F) {
 			len(back.Embeds()) != len(d.Embeds()) {
 			t.Fatalf("re-read differs: %q %v, want %q %v", back.String(), back.Runs(), d.String(), d.Runs())
 		}
-		if len(d.Embeds()) > 0 {
-			return
-		}
 		mem := NewMemFS()
 		if err := SaveDocument(mem, "doc.d", d); err != nil {
 			t.Fatal(err)
+		}
+		saved, err := ReadFile(mem, "doc.d")
+		if err != nil || !bytes.Equal(saved, got) {
+			t.Fatalf("saved file %q (%v), want the encoding %q", saved, err, got)
+		}
+		ix, err := LoadIndex(mem, "doc.d")
+		if err != nil {
+			t.Fatalf("sidecar: %v", err)
+		}
+		want := BuildIndex(saved)
+		if want.Streamable != (len(d.Embeds()) == 0) {
+			t.Fatalf("BuildIndex says streamable=%v for a document with %d embeds", want.Streamable, len(d.Embeds()))
+		}
+		binding := func(ix *DocIndex) DocIndex {
+			return DocIndex{DocLen: ix.DocLen, DocCRC: ix.DocCRC, HeadLen: ix.HeadLen, HeadCRC: ix.HeadCRC, Streamable: ix.Streamable}
+		}
+		if want.Streamable && *ix != *want || binding(ix) != binding(want) {
+			t.Fatalf("sidecar %+v, BuildIndex of the file %+v", *ix, *want)
+		}
+		if len(d.Embeds()) > 0 {
+			return
 		}
 		eager, err := Load(mem, "doc.d", reg, datastream.Strict)
 		if err != nil {

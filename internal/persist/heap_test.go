@@ -64,7 +64,7 @@ func TestLoadedDocumentHeapPerByte(t *testing.T) {
 			}
 			return df, err
 		}},
-		{"eager", 1.5, func() (*DocFile, error) { return Load(OS, path, reg, datastream.Strict) }},
+		{"eager", 1.3, func() (*DocFile, error) { return Load(OS, path, reg, datastream.Strict) }},
 	} {
 		before := liveHeap()
 		df, err := c.load()

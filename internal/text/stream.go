@@ -1,6 +1,7 @@
 package text
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -119,6 +120,13 @@ func (d *Data) writeStyles(w *datastream.Writer) error {
 // ReadPayload implements core.DataObject: it consumes tokens through the
 // object's own end marker, restoring content, styles and embedded
 // children (instantiated through the registry, demand-loading their code).
+// A top-level text reserves its content once, from the bytes the reader
+// has left (an embedded one would reserve the rest of its parent too).
+// Escapes, line breaks and markers only shrink text, and only a raw byte
+// that is not valid UTF-8 grows (into U+FFFD), so a document read from
+// bytes in hand fills one allocation. Content that leaves more than a
+// quarter of its buffer unused is copied to size, so the slack is not
+// kept live.
 func (d *Data) ReadPayload(r *datastream.Reader) error {
 	// A wholesale reload is not a journalable edit: tell any attached
 	// journal its log no longer reconstructs this document.
@@ -130,6 +138,9 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 	d.runs, d.embeds = nil, nil
 
 	var content []byte // UTF-8, n runes
+	if r.Depth() == 1 {
+		content = make([]byte, 0, r.Remaining())
+	}
 	n := 0
 	var pendingObj core.DataObject
 	var runs []Run
@@ -146,6 +157,9 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 			// Our own end marker: done.
 			if pendingObj != nil && r.Lenient() {
 				r.AddDiagnostic(tok.Line, "embedded %s had no \\view anchor; dropped", pendingObj.TypeName())
+			}
+			if cap(content)-len(content) > cap(content)/4 {
+				content = bytes.Clone(content)
 			}
 			d.setContent(content)
 			d.runs = runs

@@ -21,8 +21,8 @@ test:
 # and its escape encoder (against the byte loop it grew from), the
 # write→read→write round trip through the full component
 # registry, the streamed encoding of edited documents, the text store
-# against its []rune oracle, and the repaint equivalence oracle on both
-# of its fixtures,
+# against its []rune oracle, the repaint equivalence oracle on both
+# of its fixtures, and a docserve join against the framing it replaced,
 # holds the committed benchmark numbers to their gates, and runs the
 # end-to-end benchmark (bench-e2e).
 verify:
@@ -42,6 +42,7 @@ verify:
 	$(GO) test -fuzz=FuzzRepaintWrapped -fuzztime=10s .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=10s ./internal/docserve
+	$(GO) test -fuzz=FuzzSnapshotJoin -fuzztime=10s ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=10s ./internal/ops
 	$(GO) run ./cmd/slogate -bench BENCH_text.json -bench BENCH_docserve.json -bench BENCH_stream.json
 	$(MAKE) bench-e2e
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRepaintWrapped -fuzztime=$(FUZZTIME) .
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -fuzz=FuzzServerProtocol -fuzztime=$(FUZZTIME) ./internal/docserve
+	$(GO) test -fuzz=FuzzSnapshotJoin -fuzztime=$(FUZZTIME) ./internal/docserve
 	$(GO) test -fuzz=FuzzOpsCodec -fuzztime=$(FUZZTIME) ./internal/ops
 
 # generate rebuilds committed artifacts (testdata/sample.d).
@@ -83,10 +85,12 @@ bench: bench-stream
 	$(GO) test -bench=. -benchmem . | $(GO) run ./cmd/benchjson -out BENCH_text.json -filter E9TextIndexing,IncrementalEdit
 
 # bench-docserve measures the replication server's serving paths — the
-# single-document fan-out bench (one writer, 32 reader replicas) and the
+# single-document fan-out bench (one writer, 32 reader replicas), the
 # sharded multi-document bench (8 documents, each with a writer and 4
-# readers) — and records commits/s, deliveries/s, and p99 fan-out lag in
-# BENCH_docserve.json.
+# readers), and a cache-miss join of a 121 KB document, whole over
+# loopback TCP and as its host and client shares — and records
+# commits/s, deliveries/s, p99 fan-out lag, and the join's time and
+# allocation in BENCH_docserve.json.
 bench-docserve:
 	$(GO) test -run=NONE -bench=DocServe -benchtime=3s -benchmem ./internal/docserve | \
 		$(GO) run ./cmd/benchjson -out BENCH_docserve.json -filter DocServe \
@@ -95,13 +99,15 @@ bench-docserve:
 # bench-stream measures the streaming large-document pipeline: the
 # 100 MB open (time-to-first-paint and live heap, streamed vs eager), the
 # save of an edited 8 MB document (time and bytes allocated), and the
-# chunked snapshot attach of a document past the per-frame bound.
-# Results (plus the derived open_large_doc / open_rss_ratio speedups)
-# land in BENCH_stream.json, which cmd/slogate holds to release floors.
+# chunked snapshot attach of a document past the per-frame bound. Each
+# runs once per op, three times, so BENCH_stream.json carries each
+# time's spread across the reruns. Results (plus the derived
+# open_large_doc / open_rss_ratio speedups) land in BENCH_stream.json,
+# which cmd/slogate holds to release floors.
 bench-stream:
-	$(GO) test -run=NONE -bench=Stream -benchtime=1x -benchmem . | \
+	$(GO) test -run=NONE -bench=Stream -benchtime=1x -count=3 -benchmem . | \
 		$(GO) run ./cmd/benchjson -out BENCH_stream.json -filter Stream \
-		-cmd "go test -run=NONE -bench=Stream -benchtime=1x -benchmem ."
+		-cmd "go test -run=NONE -bench=Stream -benchtime=1x -count=3 -benchmem ."
 
 # slo runs the fault-scenario suite (internal/slo) SLO_RERUNS times per
 # scenario against a live in-process docserve server — slow consumers,

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"atk/internal/datastream"
 	"atk/internal/docserve"
@@ -171,9 +172,11 @@ func BenchmarkStreamSave(b *testing.B) {
 }
 
 // BenchmarkStreamChunkedAttach measures a wire attach of a document far
-// past the per-frame snapshot bound: the host streams it as snapr range
-// frames and the replica assembles and decodes them. One op = one full
-// attach (connect through live).
+// past the per-frame snapshot bound: the host encodes it and streams it
+// as snapr range frames, and the replica assembles and decodes them. One
+// op = one full attach (connect through live). A writer commits one edit
+// before each attach, untimed, so that every attach encodes the document
+// instead of being served from the host's snapshot cache.
 func BenchmarkStreamChunkedAttach(b *testing.B) {
 	reg := benchRegistry(b)
 	doc := text.NewString(largeBenchContent(24 << 20))
@@ -182,29 +185,40 @@ func BenchmarkStreamChunkedAttach(b *testing.B) {
 	srv := docserve.NewServer(docserve.HostOptions{})
 	srv.AddHost(h)
 	defer srv.Close()
-
-	want := doc.Len()
-	b.SetBytes(24 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	connect := func(id string) *docserve.Client {
 		cEnd, sEnd := net.Pipe()
 		go srv.HandleConn(sEnd)
-		c, err := docserve.Connect(cEnd, "big.d", docserve.ClientOptions{
-			ClientID: fmt.Sprintf("bench%d", i),
-			Registry: reg,
-		})
+		c, err := docserve.Connect(cEnd, "big.d", docserve.ClientOptions{ClientID: id, Registry: reg})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := c.Doc().Len(); got != want {
+		return c
+	}
+	w := connect("writer")
+	defer w.Close()
+	base := h.Stats().SnapChunks
+
+	b.SetBytes(24 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := w.Doc().Insert(0, "x"); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Sync(time.Minute); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		c := connect(fmt.Sprintf("bench%d", i))
+		if got, want := c.Doc().Len(), w.Doc().Len(); got != want {
 			b.Fatalf("attach delivered %d runes, want %d", got, want)
 		}
 		_ = c.Close()
 	}
 	b.StopTimer()
-	st := h.Stats()
-	if st.SnapChunks == 0 {
+	chunks := h.Stats().SnapChunks - base
+	if chunks == 0 {
 		b.Fatal("large attach did not use snapr chunk frames")
 	}
-	b.ReportMetric(float64(st.SnapChunks)/float64(b.N), "chunks/attach")
+	b.ReportMetric(float64(chunks)/float64(b.N), "chunks/attach")
 }

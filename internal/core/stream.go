@@ -23,9 +23,17 @@ var (
 	ErrBadStream     = errors.New("core: malformed object stream")
 )
 
+// An Encodable is what WriteObject writes: a type name and the payload
+// under it. Every DataObject is one, and so is a copy of one taken to be
+// encoded elsewhere (text.Capture).
+type Encodable interface {
+	TypeName() string
+	WritePayload(w *datastream.Writer) error
+}
+
 // WriteObject writes obj enclosed in its begin/end markers and returns the
 // stream ID assigned, which the caller may reference in \view constructs.
-func WriteObject(w *datastream.Writer, obj DataObject) (int, error) {
+func WriteObject(w *datastream.Writer, obj Encodable) (int, error) {
 	id, err := w.Begin(obj.TypeName())
 	if err != nil {
 		return 0, err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/bits"
-	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -60,6 +59,11 @@ func (e *lineEnc) room(dst []byte) ([]byte, int) {
 // into U+FFFD (a surrogate, or a value outside 0..MaxRune) encodes as
 // \ufffd;, exactly as it would after that conversion.
 func (e *lineEnc) escape(dst []byte, r rune) []byte {
+	if r == '\n' { // the commonest by far: every line break of a snapshot
+		dst = e.wrap(dst, 4)
+		e.col += 4
+		return append(dst, `\ua;`...)
+	}
 	var tok [12]byte
 	t := tok[:0]
 	if r == '\\' {
@@ -68,11 +72,21 @@ func (e *lineEnc) escape(dst []byte, r rune) []byte {
 		if !utf8.ValidRune(r) {
 			r = utf8.RuneError
 		}
-		t = append(strconv.AppendInt(append(t, '\\', 'u'), int64(r), 16), ';')
+		t = append(appendHex(append(t, '\\', 'u'), uint32(r)), ';')
 	}
 	dst = e.wrap(dst, len(t))
 	e.col += len(t)
 	return append(dst, t...)
+}
+
+// appendHex appends v in lowercase hex without leading zeros, as
+// strconv.AppendUint(dst, v, 16) does.
+func appendHex(dst []byte, v uint32) []byte {
+	const digits = "0123456789abcdef"
+	for sh := (bits.Len32(v|1) - 1) &^ 3; sh >= 0; sh -= 4 {
+		dst = append(dst, digits[v>>sh&0xf])
+	}
+	return dst
 }
 
 // end finishes the logical line.
@@ -86,14 +100,20 @@ func (e *lineEnc) end(dst []byte) []byte {
 // backslashes doubled, and the result wrapped into physical lines of at
 // most MaxLine columns. Each physical line ends with '\n', and every one
 // but the last carries a continuation backslash before it.
-func AppendEscaped(dst []byte, s string) []byte { return appendEscaped(dst, s) }
-
-// AppendEscapedBytes is AppendEscaped for a []byte logical line.
-func AppendEscapedBytes(dst, s []byte) []byte { return appendEscaped(dst, s) }
-
-func appendEscaped[S string | []byte](dst []byte, s S) []byte {
+func AppendEscaped(dst []byte, s string) []byte {
 	var e lineEnc
 	return e.end(escapeBytes(&e, dst, s, false))
+}
+
+// AppendEscapedBytes is AppendEscaped for a []byte logical line, given
+// whole or as parts that are split at rune boundaries: the parts encode
+// exactly as their concatenation would, without being concatenated.
+func AppendEscapedBytes(dst []byte, parts ...[]byte) []byte {
+	var e lineEnc
+	for _, s := range parts {
+		dst = escapeBytes(&e, dst, s, false)
+	}
+	return e.end(dst)
 }
 
 // escapeBytes encodes s as the continuation of e's logical line, newlines
@@ -174,7 +194,7 @@ func plainLines[S string | []byte](s S, col int) int {
 // the tab and tested again.
 func plainRun[S string | []byte](s S, i, end int) int {
 	for i+8 <= end {
-		m := notPlain(load64(s[i : i+8]))
+		m := notPlain(Load64(s[i : i+8]))
 		if m == 0 {
 			i += 8
 			continue
@@ -190,8 +210,10 @@ func plainRun[S string | []byte](s S, i, end int) int {
 	return i
 }
 
-// load64 reads the eight bytes of s as a little-endian word.
-func load64[S string | []byte](s S) uint64 {
+// Load64 reads the eight bytes of s as a little-endian word, for scans
+// that test eight bytes at a time; it takes strings and byte slices
+// alike.
+func Load64[S string | []byte](s S) uint64 {
 	_ = s[7]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
@@ -239,6 +261,11 @@ func decodeAppend[S string | []byte](dst []byte, line S) (out []byte, cont bool,
 			dst = append(dst, '\\')
 			i += 2
 		case 'u':
+			if i+3 < len(line) && line[i+2] == 'a' && line[i+3] == ';' {
+				dst = append(dst, '\n') // the commonest by far
+				i += 4
+				continue
+			}
 			j := -1
 			for k := i + 2; k < len(line); k++ {
 				if line[k] == ';' {

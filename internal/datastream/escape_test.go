@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -380,7 +381,8 @@ func TestPlainRun(t *testing.T) {
 
 // escapeByteLoop is a test-local copy of the encoder before it copied
 // plain lines whole and scanned a word at a time: the byte loop over all
-// of s, in both modes.
+// of s, in both modes, with each escape token formatted by strconv as it
+// was before escape formatted its own.
 func escapeByteLoop(e *lineEnc, dst, s []byte, text bool) []byte {
 	for i := 0; i < len(s); {
 		if c := s[i]; !plain(c) {
@@ -391,7 +393,7 @@ func escapeByteLoop(e *lineEnc, dst, s []byte, text bool) []byte {
 			if c == '\n' && text {
 				dst = e.end(dst)
 			} else {
-				dst = e.escape(dst, r)
+				dst = escapeStrconv(e, dst, r)
 			}
 			i += n
 			continue
@@ -407,6 +409,21 @@ func escapeByteLoop(e *lineEnc, dst, s []byte, text bool) []byte {
 		i = j
 	}
 	return dst
+}
+
+// escapeStrconv is lineEnc.escape with its \uHEX; token formatted by
+// strconv.
+func escapeStrconv(e *lineEnc, dst []byte, r rune) []byte {
+	t := []byte{'\\', '\\'}
+	if r != '\\' {
+		if !utf8.ValidRune(r) {
+			r = utf8.RuneError
+		}
+		t = append(strconv.AppendInt([]byte{'\\', 'u'}, int64(r), 16), ';')
+	}
+	dst = e.wrap(dst, len(t))
+	e.col += len(t)
+	return append(dst, t...)
 }
 
 // FuzzEscapeText holds escapeBytes, in text mode and out of it, to the

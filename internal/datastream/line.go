@@ -106,29 +106,40 @@ func (lr *LineReader) Join(first []byte, limit int) ([]byte, error) {
 	if cap(lr.dec) > maxKeptLine {
 		lr.dec = nil
 	}
-	lr.dec = lr.dec[:0]
+	var err error
+	lr.dec, err = lr.JoinAppend(lr.dec[:0], first, limit)
+	return lr.dec, err
+}
+
+// JoinAppend is Join decoding onto the end of dst, a buffer of the
+// caller's, so a logical line can go straight where it is wanted; limit
+// bounds the length of the result, dst's bytes included. It returns the
+// result with the same errors as Join. first may be the rest of a
+// physical line whose start the caller has read itself, cut after a
+// plain byte.
+func (lr *LineReader) JoinAppend(dst, first []byte, limit int) ([]byte, error) {
 	line := first
 	for {
 		var cont bool
 		var derr error
-		lr.dec, cont, derr = decodeAppend(lr.dec, line)
+		dst, cont, derr = decodeAppend(dst, line)
 		if derr != nil {
-			return lr.dec, &SyntaxError{lr.lines, derr}
+			return dst, &SyntaxError{lr.lines, derr}
 		}
-		if len(lr.dec) > limit {
-			return lr.dec, fmt.Errorf("%w: logical line longer than %d bytes (line %d)", ErrLimit, limit, lr.lines)
+		if len(dst) > limit {
+			return dst, fmt.Errorf("%w: logical line past %d bytes (line %d)", ErrLimit, limit, lr.lines)
 		}
 		if !cont {
 			if lr.torn {
-				return lr.dec, ErrNoNewline
+				return dst, ErrNoNewline
 			}
-			return lr.dec, nil
+			return dst, nil
 		}
 		var err error
 		if line, err = lr.ReadLine(); err == io.EOF {
-			return lr.dec, io.ErrUnexpectedEOF
+			return dst, io.ErrUnexpectedEOF
 		} else if err != nil && err != ErrNoNewline {
-			return lr.dec, err
+			return dst, err
 		}
 	}
 }

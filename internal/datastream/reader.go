@@ -209,7 +209,7 @@ func (r *Reader) Next() (Token, error) {
 		r.lastLine = r.peeked.Line
 		return r.peeked, nil
 	}
-	t, err := r.next()
+	t, err := r.next(nil)
 	if err == nil {
 		r.lastLine = t.Line
 	}
@@ -220,7 +220,7 @@ func (r *Reader) Next() (Token, error) {
 // until the token is actually consumed by Next.
 func (r *Reader) Peek() (Token, error) {
 	if !r.hasPeek {
-		t, err := r.next()
+		t, err := r.next(nil)
 		if err != nil {
 			return t, err
 		}
@@ -240,7 +240,10 @@ func (r *Reader) popSynth() Token {
 	return t
 }
 
-func (r *Reader) next() (Token, error) {
+// next reads the next token. A text token's logical line is decoded
+// onto *dst when dst is not nil, leaving the token's Text empty, and into
+// Text otherwise.
+func (r *Reader) next(dst *[]byte) (Token, error) {
 	for {
 		if len(r.synth) > 0 {
 			return r.popSynth(), nil
@@ -333,11 +336,21 @@ func (r *Reader) next() (Token, error) {
 		}
 		// Payload text: decode escapes, joining continuation lines.
 		budget := r.limits.MaxPayloadBytes - r.payload
-		text, err := r.lr.Join(raw, budget)
+		var text []byte
+		if dst != nil {
+			start := len(*dst)
+			*dst, err = r.lr.JoinAppend(*dst, raw, start+budget)
+			text = (*dst)[start:]
+		} else {
+			text, err = r.lr.Join(raw, budget)
+		}
 		switch se, bad := err.(*SyntaxError); {
 		case err == nil, err == ErrNoNewline:
 		case bad && r.mode == Lenient:
 			r.AddDiagnostic(se.Line, "undecodable payload line dropped: %v", se.Err)
+			if dst != nil {
+				*dst = (*dst)[:len(*dst)-len(text)]
+			}
 			continue
 		case errors.Is(err, ErrLimit) && len(text) > budget:
 			return Token{}, fmt.Errorf("%w: payload exceeds %d bytes (line %d)",
@@ -352,6 +365,9 @@ func (r *Reader) next() (Token, error) {
 			return Token{}, err
 		}
 		r.payload += len(text)
+		if dst != nil {
+			return Token{Kind: TokText, Line: startLine}, nil
+		}
 		return Token{Kind: TokText, Text: string(text), Line: startLine}, nil
 	}
 }
@@ -436,23 +452,34 @@ func (r *Reader) SkipObject(begin Token) error {
 // logical lines (newline separated) and the first non-text token, which is
 // left un-consumed for the caller.
 func (r *Reader) CollectText() (string, error) {
-	var b strings.Builder
-	first := true
-	for {
-		t, err := r.Peek()
-		if err != nil {
-			return b.String(), err
+	b, err := r.AppendText(nil)
+	return string(b), err
+}
+
+// AppendText reads consecutive text tokens as CollectText does, but
+// appends their logical lines, newline separated, to dst: each line is
+// decoded straight onto it, with no string made per line. The first
+// non-text token is left for the caller.
+func (r *Reader) AppendText(dst []byte) ([]byte, error) {
+	for n := 0; ; n++ {
+		mark := len(dst)
+		if n > 0 {
+			dst = append(dst, '\n')
+		}
+		t := r.peeked
+		if r.hasPeek {
+			r.hasPeek = false
+			dst = append(dst, t.Text...)
+		} else {
+			var err error
+			if t, err = r.next(&dst); err != nil {
+				return dst[:mark], err
+			}
 		}
 		if t.Kind != TokText {
-			return b.String(), nil
+			r.peeked, r.hasPeek = t, true
+			return dst[:mark], nil
 		}
-		if _, err := r.Next(); err != nil {
-			return b.String(), err
-		}
-		if !first {
-			b.WriteByte('\n')
-		}
-		first = false
-		b.WriteString(t.Text)
+		r.lastLine = t.Line
 	}
 }

@@ -297,11 +297,7 @@ func (c *Client) catchUp() error {
 	}
 	for {
 		_ = c.conn.SetReadDeadline(time.Now().Add(d))
-		frame, err := readFrame(c.fr)
-		if err != nil {
-			return fmt.Errorf("docserve: catch-up read: %w", err)
-		}
-		if err := c.handleFrame(frame); err != nil {
+		if err := c.catchUpFrame(); err != nil {
 			return err
 		}
 		if c.live {
@@ -311,6 +307,24 @@ func (c *Client) catchUp() error {
 			return nil
 		}
 	}
+}
+
+// catchUpFrame reads and handles one catch-up frame. A snapr frame, which
+// the host sends only before live, has its chunk decoded from its
+// physical lines straight onto the snapshot being assembled; any other
+// frame is read whole and handled as a live one is.
+func (c *Client) catchUpFrame() error {
+	first, err := c.fr.ReadLine()
+	if err == nil || err == datastream.ErrNoNewline {
+		if bytes.HasPrefix(first, snaprPrefix) {
+			return c.readSnapRange(first)
+		}
+		var frame []byte
+		if frame, err = c.fr.Join(first, MaxFrameBytes); err == nil {
+			return c.handleFrame(string(frame))
+		}
+	}
+	return fmt.Errorf("docserve: catch-up read: %w", wireErr(err))
 }
 
 // startReader spawns the connection reader for the current conn. It is the
@@ -619,8 +633,8 @@ func (c *Client) fatal(err error) error {
 // handleFrame dispatches one server frame on the owner goroutine.
 func (c *Client) handleFrame(frame string) error {
 	switch verbOf(frame) {
-	case "snapr":
-		return c.handleSnapRange(frame)
+	case "snapr": // catch-up only: catchUpFrame reads it
+		return c.fatal(fmt.Errorf("%w: snapshot after live", errBadFrame))
 	case "op":
 		m, err := parseCommitted(frame)
 		if err != nil {
@@ -679,24 +693,15 @@ type snapAccum struct {
 	buf        []byte
 }
 
-// handleSnapRange accumulates one "snapr <epoch> <seq> <total> <offset>
-// <chunk>" frame. The server stages ranges in order and gapless, so any
-// discontinuity is a protocol error, not something to repair.
-func (c *Client) handleSnapRange(frame string) error {
-	parts := strings.SplitN(frame, " ", 6)
-	if len(parts) < 5 || parts[0] != "snapr" {
-		return c.fatal(fmt.Errorf("%w: snapr", errBadFrame))
-	}
-	epoch, err1 := strconv.ParseUint(parts[1], 10, 64)
-	seq, err2 := strconv.ParseUint(parts[2], 10, 64)
-	total, err3 := strconv.Atoi(parts[3])
-	offset, err4 := strconv.Atoi(parts[4])
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || total < 0 || offset < 0 {
+// readSnapRange reads one "snapr <epoch> <seq> <total> <offset> <chunk>"
+// frame, whose first physical line is first, decoding the chunk from its
+// physical lines straight onto the snapshot being assembled. The server
+// stages ranges in order and gapless, so any discontinuity is a protocol
+// error, not something to repair.
+func (c *Client) readSnapRange(first []byte) error {
+	epoch, seq, total, offset, rest, ok := parseSnapHeader(first)
+	if !ok {
 		return c.fatal(fmt.Errorf("%w: snapr header", errBadFrame))
-	}
-	body := ""
-	if len(parts) == 6 {
-		body = parts[5]
 	}
 	if c.snapAcc == nil {
 		if offset != 0 {
@@ -709,18 +714,27 @@ func (c *Client) handleSnapRange(frame string) error {
 		c.snapAcc = nil
 		return c.fatal(errors.New("docserve: snapshot range out of order"))
 	}
-	if len(acc.buf)+len(body) > total {
+	// total is the peer's claim, not a fact: the buffer is reserved for
+	// one frame's bound past the bytes that have arrived and grows by
+	// doubling, never past total, so an honest snapshot is reallocated
+	// O(log n) times whatever its frames' size, and a hostile header
+	// holds at most twice the bytes sent plus two frames' bounds. An
+	// honest snapshot within one frame's bound gets its exact size at
+	// the first frame.
+	limit := min(total, offset+MaxFrameBytes)
+	if limit > cap(acc.buf) {
+		acc.buf = append(make([]byte, 0, max(limit, min(total, 2*cap(acc.buf)))), acc.buf...)
+	}
+	var err error
+	acc.buf, err = c.fr.JoinAppend(acc.buf, rest, limit)
+	switch {
+	case err == nil:
+	case errors.Is(err, datastream.ErrLimit) && len(acc.buf) > total:
 		c.snapAcc = nil
 		return c.fatal(errors.New("docserve: snapshot ranges overflow the announced size"))
+	default:
+		return fmt.Errorf("docserve: catch-up read: %w", wireErr(err))
 	}
-	if need := len(acc.buf) + len(body); need > cap(acc.buf) {
-		// total is the peer's claim, not a fact: grow in proportion to the
-		// bytes that have arrived, so a hostile header costs at most a few
-		// times what was actually sent. An honest snapshot of up to four
-		// frames gets its exact size at the first frame.
-		acc.buf = append(make([]byte, 0, min(total, 4*need)), acc.buf...)
-	}
-	acc.buf = append(acc.buf, body...)
 	if len(acc.buf) < total {
 		return nil
 	}

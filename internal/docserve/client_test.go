@@ -1,12 +1,16 @@
 package docserve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"atk/internal/datastream"
 )
 
 // snapLive is the catch-up a scripted server sends: doc as one snapshot
@@ -164,6 +168,55 @@ func TestClientRejectsHostileSnapshotSize(t *testing.T) {
 	_, err := Connect(cEnd, "doc", ClientOptions{ClientID: "me", Registry: testReg(t)})
 	if !errors.Is(err, errBadFrame) {
 		t.Fatalf("want a protocol error, got %v", err)
+	}
+}
+
+// TestSnapRangeBufferGrowsGeometrically: the snapshot buffer is reserved
+// ahead of the bytes that arrive, from a total the peer claims, so its
+// growth must stay geometric in the bytes actually sent. Many small
+// frames under a total past MaxFrameBytes, an honest run and a hostile
+// one (a byte per frame under a huge total), must not reallocate it per
+// frame. The frames stop short of the total, so no snapshot is decoded.
+func TestSnapRangeBufferGrowsGeometrically(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		total, chunk  int
+		frames        int
+		budget        uint64 // bytes the frames may allocate in all
+		wantBufferCap int
+	}{
+		// MaxFrameBytes at the first frame, then the whole total.
+		{"honest", MaxFrameBytes * 3 / 2, 8 << 10, 3*MaxFrameBytes/2/(8<<10) - 1, 3 * MaxFrameBytes, MaxFrameBytes * 3 / 2},
+		// MaxFrameBytes at the first frame, then twice that; nothing more
+		// until MaxFrameBytes have arrived.
+		{"hostile", 1 << 40, 1, 4096, 3*MaxFrameBytes + 1<<20, 2 * MaxFrameBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chunk := bytes.Repeat([]byte{'a'}, tc.chunk)
+			var wire, line []byte
+			for i := range tc.frames {
+				line = appendSnapRange(line[:0], 1, 1, tc.total, i*tc.chunk, chunk)
+				wire = datastream.AppendEscapedBytes(wire, line)
+			}
+			c := &Client{fr: newFrameReader(bytes.NewReader(wire))}
+			var before, now runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range tc.frames {
+				if err := c.catchUpFrame(); err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				runtime.ReadMemStats(&now)
+				if got := now.TotalAlloc - before.TotalAlloc; got > tc.budget {
+					t.Fatalf("%d frames of %d bytes under a total of %d allocated %d bytes, want at most %d",
+						i+1, tc.chunk, tc.total, got, tc.budget)
+				}
+			}
+			if got := cap(c.snapAcc.buf); got != tc.wantBufferCap {
+				t.Errorf("snapshot buffer holds %d bytes, want %d", got, tc.wantBufferCap)
+			}
+			t.Logf("allocated %d bytes", now.TotalAlloc-before.TotalAlloc)
+		})
 	}
 }
 

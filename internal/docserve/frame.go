@@ -87,22 +87,24 @@ func (h *Host) frameLineLocked(fb *frameBuf, line []byte) {
 // buildSnapFrames renders a document snapshot as a run of "snapr" range
 // frames, each carrying at most perFrame document bytes; a document that
 // fits (an empty one included) is one frame at offset 0. Unlike the
-// framing above it uses only local scratch — snapshot framing runs in
+// framing above it holds no host state — snapshot framing runs in
 // attach's unlocked window, where escaping a 100 MB document must not
-// stall commits. Each chunk is escaped into one reused wire scratch and
-// copied into its frame, so a frame buffer grows once, to its size. Each
-// returned frame holds one reference owned by the caller.
+// stall commits. Each frame's header and chunk are escaped, as the one
+// logical line they make, straight into the frame's buffer, which is
+// sized once for the escaped form of ordinary text. Each returned frame
+// holds one reference owned by the caller.
 func buildSnapFrames(epoch, seq uint64, doc []byte, perFrame int) []*frameBuf {
 	frames := make([]*frameBuf, 0, max(1, (len(doc)+perFrame-1)/perFrame))
-	chunk := min(perFrame, len(doc)) + 64
-	// A document's escaped form is typically about a tenth longer.
-	scratch, wire := make([]byte, 0, chunk), make([]byte, 0, chunk+chunk/4)
 	for off := 0; off == 0 || off < len(doc); off += perFrame {
-		end := min(off+perFrame, len(doc))
-		scratch = appendSnapRange(scratch[:0], epoch, seq, len(doc), off, doc[off:end])
-		wire = datastream.AppendEscapedBytes(wire[:0], scratch)
+		chunk := doc[off:min(off+perFrame, len(doc))]
+		var hb [96]byte
+		head := appendSnapRange(hb[:0], epoch, seq, len(doc), off, nil)
 		fb := getFrame()
-		fb.b = append(fb.b, wire...)
+		// A document's escaped form is typically about a tenth longer.
+		if need := len(head) + len(chunk) + len(chunk)/4 + 2; cap(fb.b) < need {
+			fb.b = make([]byte, 0, need)
+		}
+		fb.b = datastream.AppendEscapedBytes(fb.b, head, chunk)
 		frames = append(frames, fb)
 	}
 	return frames

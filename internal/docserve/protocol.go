@@ -2,6 +2,7 @@ package docserve
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -99,17 +100,23 @@ func newFrameReader(r io.Reader) *datastream.LineReader {
 // error, io.ErrUnexpectedEOF; one that closes between frames is io.EOF.
 func readFrame(fr *datastream.LineReader) (string, error) {
 	b, err := fr.ReadLogical(MaxFrameBytes)
-	switch {
-	case err == nil:
-		return string(b), nil
-	case errors.Is(err, datastream.ErrLimit):
-		return "", errFrameTooLong
-	case errors.Is(err, datastream.ErrSyntax):
-		return "", fmt.Errorf("%w: %v", errBadFrame, err)
-	case err == datastream.ErrNoNewline:
-		return "", io.ErrUnexpectedEOF
+	if err != nil {
+		return "", wireErr(err)
 	}
-	return "", err
+	return string(b), nil
+}
+
+// wireErr maps a frame reader's error to the protocol's.
+func wireErr(err error) error {
+	switch {
+	case errors.Is(err, datastream.ErrLimit):
+		return errFrameTooLong
+	case errors.Is(err, datastream.ErrSyntax):
+		return fmt.Errorf("%w: %v", errBadFrame, err)
+	case err == datastream.ErrNoNewline:
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // nameOK restricts document and client names to a safe token alphabet so
@@ -296,6 +303,40 @@ func appendSnapRange(dst []byte, epoch, seq uint64, total, offset int, chunk []b
 	dst = strconv.AppendInt(dst, int64(offset), 10)
 	dst = append(dst, ' ')
 	return append(dst, chunk...)
+}
+
+// snaprPrefix begins every snapr frame's first physical line.
+var snaprPrefix = []byte("snapr ")
+
+// parseSnapHeader reads the header of a snapr frame from the frame's
+// first physical line as it came off the wire, and returns the rest of
+// that line, still escaped: the first bytes of the chunk. The header's
+// fields are digits, which read the same escaped and decoded, so the
+// header must end on that line, and one that does not is malformed. The
+// host's does while seq, total and offset stay below 10^16: a 20-digit
+// epoch and three 16-digit fields fill the 78 columns a physical line
+// holds.
+func parseSnapHeader(line []byte) (epoch, seq uint64, total, offset int, rest []byte, ok bool) {
+	var f [5][]byte
+	for i := range f {
+		sp := bytes.IndexByte(line, ' ')
+		if sp < 0 {
+			if i < len(f)-1 {
+				return 0, 0, 0, 0, nil, false
+			}
+			f[i], line = line, nil // no chunk: an empty document
+			break
+		}
+		f[i], line = line[:sp], line[sp+1:]
+	}
+	epoch, err1 := strconv.ParseUint(string(f[1]), 10, 64)
+	seq, err2 := strconv.ParseUint(string(f[2]), 10, 64)
+	total, err3 := strconv.Atoi(string(f[3]))
+	offset, err4 := strconv.Atoi(string(f[4]))
+	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || total < 0 || offset < 0 {
+		return 0, 0, 0, 0, nil, false
+	}
+	return epoch, seq, total, offset, line, true
 }
 
 // committedMsg is a parsed server-committed op.

@@ -60,7 +60,8 @@ const controlHeadroom = 8
 // and the live stream. The expensive part — escape-encoding a whole
 // document snapshot — happens with the lock released (commits stay live
 // during a large attach); the staged frames are written to the wire
-// before anything the queue collected meanwhile.
+// before anything the queue collected meanwhile. A document with
+// embedded components is the exception: it is encoded under the lock.
 func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -143,24 +144,30 @@ func (h *Host) attach(conn net.Conn, hello helloMsg) (*session, error) {
 		return s, nil
 	}
 
-	// Cache miss: capture the document state under the lock (a piece-table
-	// extract — one rune copy, far cheaper than the escape-encode), then
-	// release it while encoding and framing so concurrent commits are not
-	// stalled. They enqueue into s.out in commit order with seq > seq0,
-	// exactly the ops the seq0 snapshot needs appended. A document bigger
-	// than the per-frame bound streams to the client as a run of snapr
-	// range frames, so document size does not cap joinability.
-	clone, err := h.doc.Extract(0, h.doc.Len())
-	if err != nil {
-		h.discardSessionLocked(s)
-		return nil, err
-	}
+	// Cache miss: capture the document state under the lock — its bytes,
+	// style runs and definitions, one copy and far cheaper than the
+	// encode — then release it while encoding and framing so concurrent
+	// commits are not stalled. They enqueue into s.out in commit order
+	// with seq > seq0, exactly the ops the seq0 snapshot needs appended.
+	// Embedded components are live objects that commits mutate in place
+	// (a cell set, a row insert), which a capture would share rather
+	// than copy, so a document with any is encoded under the lock: its
+	// join stalls commits for one encode. A document bigger than the
+	// per-frame bound streams to the client as a run of snapr range
+	// frames, so document size does not cap joinability.
 	seq0, epoch := h.seq, h.epoch
-	h.mu.Unlock()
+	var b []byte
+	var encErr error
+	if c, ok := h.doc.Capture(); ok {
+		h.mu.Unlock()
+		b, encErr = persist.EncodeCapture(c)
+	} else {
+		b, encErr = persist.EncodeDocument(h.doc)
+		h.mu.Unlock()
+	}
 	if h.attachGate != nil {
 		h.attachGate()
 	}
-	b, encErr := persist.EncodeDocument(clone)
 	var frames []*frameBuf
 	if encErr == nil {
 		frames = buildSnapFrames(epoch, seq0, b, h.opts.MaxSnapshotBytes)

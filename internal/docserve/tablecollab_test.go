@@ -2,6 +2,7 @@ package docserve
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -245,5 +246,64 @@ func TestTableCollabHostCrashRecovery(t *testing.T) {
 	}
 	if v, _ := rt.Value(1, 0); v == 999 {
 		t.Fatal("unsynced tail op survived the crash")
+	}
+}
+
+// Clients join a document with an embedded table while a writer sets
+// cells and inserts rows. The table is a live object that commits mutate
+// in place, so a join must encode it as it stands at the join's seq: an
+// op committed after that point reaches the joiner only through its
+// queue, and a snapshot that already held it would apply it twice. Every
+// joiner must converge byte-identically. (Encoding a copy that shared
+// the table outside the host lock raced with the commits: the race
+// detector saw the encoder read cells that a commit was writing.)
+func TestTableCollabJoinDuringCellEdits(t *testing.T) {
+	hostDoc := newDoc(t, "cells: ")
+	hostDoc.SetRegistry(componentReg(t))
+	h := NewHost("d", hostDoc, HostOptions{})
+	srv := NewServer(HostOptions{})
+	srv.AddHost(h)
+	w := pipeClient(t, srv, "d", "writer", componentReg(t))
+	td := table.New(3, 3)
+	if err := w.Embed(7, td, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			err := td.SetNumber(i%3, (i/3)%3, float64(i))
+			if err == nil && i%16 == 0 {
+				err = td.InsertRows(i%2, 1)
+			}
+			if err == nil {
+				err = w.Sync(5 * time.Second)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	var joiners []*Client
+	for i := 0; i < 40; i++ {
+		joiners = append(joiners, pipeClient(t, srv, "d", fmt.Sprintf("joiner%d", i), componentReg(t)))
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	convergeAll(t, h, append(joiners, w)...)
+	if st := h.Stats(); st.TableOps == 0 || st.SnapResyncs < 2 {
+		t.Fatalf("no joins during cell edits: %d table ops, %d snapshot joins", st.TableOps, st.SnapResyncs)
 	}
 }

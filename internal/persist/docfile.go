@@ -81,9 +81,21 @@ func JournalPath(path string) string { return path + ".journal" }
 
 // EncodeDocument serializes doc to the external representation.
 func EncodeDocument(doc *text.Data) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, encodedSizeHint(doc)))
+	return encode(doc, encodedSizeHint(doc))
+}
+
+// EncodeCapture serializes a capture of a text document exactly as
+// EncodeDocument serialized the document when the capture was taken.
+func EncodeCapture(c *text.Capture) ([]byte, error) {
+	return encode(c, sizeHint(c.ByteLen(), len(c.Runs())))
+}
+
+// encode writes obj's external representation into a buffer of hint
+// bytes, grown only if obj needs more.
+func encode(obj core.Encodable, hint int) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, hint))
 	w := datastream.NewWriter(buf)
-	if _, err := core.WriteObject(w, doc); err != nil {
+	if _, err := core.WriteObject(w, obj); err != nil {
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
@@ -100,9 +112,11 @@ func EncodeDocument(doc *text.Data) ([]byte, error) {
 // component) grows it as usual. A save of a small document sizes its
 // write buffer from it too.
 func encodedSizeHint(doc *text.Data) int {
-	n := doc.ByteLen() + doc.PendingRunes()
-	return n + n/6 + 32*len(doc.Runs()) + 512
+	return sizeHint(doc.ByteLen()+doc.PendingRunes(), len(doc.Runs()))
 }
+
+// sizeHint is encodedSizeHint for n bytes of text and runs style runs.
+func sizeHint(n, runs int) int { return n + n/6 + 32*runs + 512 }
 
 // SaveDocument atomically writes doc to path (the save-as path, with no
 // journal attached) and refreshes the offset-index sidecar.

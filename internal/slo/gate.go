@@ -230,8 +230,9 @@ type BenchGate struct {
 // numbers: thresholds sit far enough from the recorded values that only
 // an order-of-magnitude regression (or a vanished metric) trips them,
 // except the size ratios, which hold a keystroke's cost flat in
-// document size, and the save's allocation bound, which holds a save to
-// a fixed amount of memory whatever the document's size.
+// document size, the save's allocation bound, which holds a save to a
+// fixed amount of memory whatever the document's size, and the join's,
+// which holds a join to a few copies of the document.
 func DefaultBenchGates() []BenchGate {
 	return []BenchGate{
 		{Name: "fanout_allocs", Bench: "DocServeFanout", Metric: "allocs_per_op", Op: "<=", Threshold: 128},
@@ -269,6 +270,13 @@ func DefaultBenchGates() []BenchGate {
 		// may allocate at most 1 MiB, a bound that does not grow with
 		// the document.
 		{Name: "stream_save_bytes", Bench: "StreamSave", Metric: "bytes_per_op", Op: "<=", Threshold: 1 << 20},
+		// A cache-miss join copies the document a fixed number of times
+		// at each end: one join of BenchmarkDocServeJoin's 123,917-byte
+		// document may allocate at most 8 bytes per document byte
+		// (991,336 B), against about 17 when it extracted a piece table,
+		// escaped through two scratch buffers, and made a string of the
+		// frame and of every line.
+		{Name: "join_alloc_per_doc_byte", Bench: "DocServeJoin/tcp", Metric: "bytes_per_op", Op: "<=", Threshold: 8 * 123917},
 	}
 }
 

@@ -2,9 +2,55 @@ package text
 
 import (
 	"fmt"
+	"slices"
 
 	"atk/internal/core"
+	"atk/internal/datastream"
 )
+
+// A Capture is what WritePayload reads of a text object without embedded
+// components, copied at one moment: its bytes, its style runs, and the
+// style definitions they declare. Taking one costs a copy of the bytes
+// and the runs, with no piece store or newline index built, so a holder
+// of a lock can take it under the lock and encode it after releasing it.
+type Capture struct {
+	content []byte
+	defs    []StyleDef
+	runs    []Run
+}
+
+// Capture copies what WritePayload reads of d. ok is false when d embeds
+// components: those are live objects a copy would share, not freeze, so
+// such a document must be encoded while nothing else can change it.
+func (d *Data) Capture() (c *Capture, ok bool) {
+	d.ensureLoaded()
+	if len(d.embeds) > 0 {
+		return nil, false
+	}
+	return &Capture{content: d.copyBytes(0, d.length), defs: d.styleDefs(), runs: slices.Clone(d.runs)}, true
+}
+
+// TypeName is the type of the text the capture was taken from.
+func (c *Capture) TypeName() string { return "text" }
+
+// ByteLen returns the length of the captured text in UTF-8 bytes.
+func (c *Capture) ByteLen() int { return len(c.content) }
+
+// Runs returns the captured style runs (read-only).
+func (c *Capture) Runs() []Run { return c.runs }
+
+// WritePayload writes what the text's WritePayload wrote when c was
+// taken.
+func (c *Capture) WritePayload(w *datastream.Writer) error {
+	if err := writeStyles(w, c.defs, c.runs); err != nil {
+		return err
+	}
+	if len(c.content) == 0 {
+		return nil
+	}
+	_ = w.WriteBytes(c.content)
+	return w.EndText()
+}
 
 // Extract returns a new text object holding a copy of [start,end):
 // content, style runs (clipped and shifted), and embedded components.

@@ -1,7 +1,6 @@
 package text
 
 import (
-	"bytes"
 	"io"
 	"slices"
 	"unicode/utf8"
@@ -137,9 +136,7 @@ func (d *Data) closeTail() {
 // the end never shifts embeds, style runs, or any position a cursor or
 // undo record holds.
 func (d *Data) appendTail(off int) {
-	if !utf8.Valid(d.orig[off:]) {
-		d.orig, _ = appendValid(d.orig[:off], bytes.Clone(d.orig[off:]))
-	}
+	d.orig, _ = validTail(d.orig, off)
 	b := d.orig[off:]
 	if len(b) == 0 {
 		return

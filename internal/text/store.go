@@ -1,8 +1,10 @@
 package text
 
 import (
-	"encoding/binary"
+	"bytes"
 	"unicode/utf8"
+
+	"atk/internal/datastream"
 )
 
 // The store. Text lives as UTF-8 in two buffers, the original one (what
@@ -20,10 +22,11 @@ import (
 // piece join the one before it only under the rule, and a remainder of a
 // piece keeps the rule by itself.
 //
-// Only valid UTF-8 enters the buffers: appendValid writes each byte that
-// does not start a valid encoding as U+FFFD, one replacement per bad
-// byte, which is what ranging over a string yields. The store therefore
-// decodes to exactly the runes []rune(s) would hold for its input.
+// Only valid UTF-8 enters the buffers: appendValid (and validTail, which
+// does the same in place) writes each byte that does not start a valid
+// encoding as U+FFFD, one replacement per bad byte, which is what ranging
+// over a string yields. The store therefore decodes to exactly the runes
+// []rune(s) would hold for its input.
 
 // maxMixed bounds the bytes of a piece that holds non-ASCII text.
 const maxMixed = 256
@@ -38,10 +41,10 @@ type piece struct {
 
 // asciiLen returns the length of b's leading ASCII run, eight bytes at a
 // time.
-func asciiLen(b []byte) int {
+func asciiLen[S string | []byte](b S) int {
 	i := 0
 	for ; i+8 <= len(b); i += 8 {
-		if binary.LittleEndian.Uint64(b[i:])&0x8080808080808080 != 0 {
+		if datastream.Load64(b[i:i+8])&0x8080808080808080 != 0 {
 			break
 		}
 	}
@@ -133,22 +136,49 @@ func byteOff(b []byte, n, ro int) int {
 	return i
 }
 
+// validPrefix returns the byte length of s's longest prefix that is
+// valid UTF-8, and its runes. ASCII is skipped eight bytes at a time; a
+// rune is decoded only where one starts outside ASCII.
+func validPrefix[S string | []byte](s S) (size, runes int) {
+	for size < len(s) {
+		if s[size] < utf8.RuneSelf {
+			a := asciiLen(s[size:])
+			size, runes = size+a, runes+a
+			continue
+		}
+		_, w := utf8.DecodeRuneInString(string(s[size:min(size+utf8.UTFMax, len(s))]))
+		if w == 1 { // a bad byte: a valid rune past ASCII takes two or more
+			break
+		}
+		size, runes = size+w, runes+1
+	}
+	return size, runes
+}
+
 // appendValid appends s to dst as valid UTF-8, each byte of s that does
 // not start a valid encoding written as U+FFFD, and returns the runes it
 // appended. Valid runs are copied whole.
 func appendValid[S string | []byte](dst []byte, s S) ([]byte, int) {
-	n, done := 0, 0
-	for i := 0; i < len(s); n++ {
-		if s[i] < utf8.RuneSelf {
-			i++
-			continue
+	n := 0
+	for {
+		v, k := validPrefix(s)
+		dst, n = append(dst, s[:v]...), n+k
+		if v == len(s) {
+			return dst, n
 		}
-		_, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
-		if size == 1 { // a bad byte: a valid rune past ASCII takes two or more
-			dst = append(append(dst, s[done:i]...), string(utf8.RuneError)...)
-			done = i + 1
-		}
-		i += size
+		dst, n = append(dst, string(utf8.RuneError)...), n+1
+		s = s[v+1:]
 	}
-	return append(dst, s[done:]...), n
+}
+
+// validTail makes b[start:] valid UTF-8 in place, as appendValid would
+// have written it, and returns b and the runes of b[start:]. Only a tail
+// holding a bad byte is rewritten, from its first bad byte on.
+func validTail(b []byte, start int) ([]byte, int) {
+	v, n := validPrefix(b[start:])
+	if start+v == len(b) {
+		return b, n
+	}
+	b, k := appendValid(b[:start+v], bytes.Clone(b[start+v:]))
+	return b, n + k
 }

@@ -52,7 +52,7 @@ func (d *Data) Registry() *class.Registry { return d.registry() }
 // text entry: a save makes no copy of the document.
 func (d *Data) WritePayload(w *datastream.Writer) error {
 	d.ensureLoaded()
-	if err := d.writeStyles(w); err != nil {
+	if err := writeStyles(w, d.styleDefs(), d.runs); err != nil {
 		return err
 	}
 	cursor := 0
@@ -83,15 +83,14 @@ func (d *Data) writeText(w *datastream.Writer, start, end int) error {
 	return w.EndText()
 }
 
-func (d *Data) writeStyles(w *datastream.Writer) error {
-	// Emit definitions for every style a run references that differs from
-	// the stock table, plus every run.
+// styleDefs returns the definitions the textstyles block declares: every
+// style a run references that differs from the stock table, in the order
+// the runs first reference them.
+func (d *Data) styleDefs() []StyleDef {
 	if len(d.runs) == 0 {
 		return nil
 	}
-	if _, err := w.Begin("textstyles"); err != nil {
-		return err
-	}
+	var defs []StyleDef
 	stock := NewStyleTable()
 	seen := map[string]bool{}
 	for _, r := range d.runs {
@@ -103,13 +102,28 @@ func (d *Data) writeStyles(w *datastream.Writer) error {
 		if stock.Has(def.Name) && stock.Lookup(def.Name) == def {
 			continue // standard style, implied
 		}
+		defs = append(defs, def)
+	}
+	return defs
+}
+
+// writeStyles writes the textstyles block: the definitions defs, then
+// every run. No runs, no block.
+func writeStyles(w *datastream.Writer, defs []StyleDef, runs []Run) error {
+	if len(runs) == 0 {
+		return nil
+	}
+	if _, err := w.Begin("textstyles"); err != nil {
+		return err
+	}
+	for _, def := range defs {
 		line := fmt.Sprintf("def %s %s %d %s %d %d", def.Name, def.Font.Family,
 			def.Font.Size, def.Font.Style, def.Indent, int(def.Justify))
 		if err := w.WriteRawLine(line); err != nil {
 			return err
 		}
 	}
-	for _, r := range d.runs {
+	for _, r := range runs {
 		if err := w.WriteRawLine(fmt.Sprintf("run %d %d %s", r.Start, r.End-r.Start, r.Style)); err != nil {
 			return err
 		}
@@ -120,13 +134,15 @@ func (d *Data) writeStyles(w *datastream.Writer) error {
 // ReadPayload implements core.DataObject: it consumes tokens through the
 // object's own end marker, restoring content, styles and embedded
 // children (instantiated through the registry, demand-loading their code).
-// A top-level text reserves its content once, from the bytes the reader
-// has left (an embedded one would reserve the rest of its parent too).
-// Escapes, line breaks and markers only shrink text, and only a raw byte
-// that is not valid UTF-8 grows (into U+FFFD), so a document read from
-// bytes in hand fills one allocation. Content that leaves more than a
-// quarter of its buffer unused is copied to size, so the slack is not
-// kept live.
+// The text between markers is decoded by the reader straight onto the
+// content, a run of lines at a time, and made valid UTF-8 in place: no
+// string per line. A top-level text reserves its content once, from the
+// bytes the reader has left (an embedded one would reserve the rest of
+// its parent too). Escapes, line breaks and markers only shrink text, and
+// only a raw byte that is not valid UTF-8 grows (into U+FFFD), so a
+// document read from bytes in hand fills one allocation. Content that
+// leaves more than a quarter of its buffer unused is copied to size, so
+// the slack is not kept live.
 func (d *Data) ReadPayload(r *datastream.Reader) error {
 	// A wholesale reload is not a journalable edit: tell any attached
 	// journal its log no longer reconstructs this document.
@@ -145,7 +161,17 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 	var pendingObj core.DataObject
 	var runs []Run
 	for {
-		tok, err := r.Next()
+		// The text up to the next marker, its lines joined with newlines
+		// (the writer's contract).
+		start := len(content)
+		var tok datastream.Token
+		var err error
+		if content, err = r.AppendText(content); err == nil {
+			var k int
+			content, k = validTail(content, start)
+			n += k
+			tok, err = r.Next()
+		}
 		if err != nil {
 			if err == io.EOF {
 				return fmt.Errorf("%w: EOF inside text object", datastream.ErrBadNesting)
@@ -165,16 +191,6 @@ func (d *Data) ReadPayload(r *datastream.Reader) error {
 			d.runs = runs
 			d.NotifyObservers(core.FullChange)
 			return nil
-		case datastream.TokText:
-			// Join contiguous text tokens with newlines (the writer's
-			// contract), taking care at chunk boundaries.
-			var k int
-			content, k = appendValid(content, tok.Text)
-			n += k
-			if next, err := r.Peek(); err == nil && next.Kind == datastream.TokText {
-				content = append(content, '\n')
-				n++
-			}
 		case datastream.TokBegin:
 			if tok.Type == "textstyles" {
 				if err := d.readStyles(r, &runs); err != nil {

@@ -90,11 +90,12 @@ bench: bench-stream
 # readers), and a cache-miss join of a 121 KB document, whole over
 # loopback TCP and as its host and client shares — and records
 # commits/s, deliveries/s, p99 fan-out lag, and the join's time and
-# allocation in BENCH_docserve.json.
+# allocation in BENCH_docserve.json. Each runs three times, so the file
+# carries each figure's spread across the reruns.
 bench-docserve:
-	$(GO) test -run=NONE -bench=DocServe -benchtime=3s -benchmem ./internal/docserve | \
+	$(GO) test -run=NONE -bench=DocServe -benchtime=3s -count=3 -benchmem ./internal/docserve | \
 		$(GO) run ./cmd/benchjson -out BENCH_docserve.json -filter DocServe \
-		-cmd "go test -run=NONE -bench=DocServe -benchtime=3s -benchmem ./internal/docserve"
+		-cmd "go test -run=NONE -bench=DocServe -benchtime=3s -count=3 -benchmem ./internal/docserve"
 
 # bench-stream measures the streaming large-document pipeline: the
 # 100 MB open (time-to-first-paint and live heap, streamed vs eager), the

@@ -137,14 +137,16 @@ func soloShapedContent(lines int) string {
 // op is one insert and one DocFile.Save — the encode, the atomic write
 // with its fsyncs, the offset index and the journal rotation — of a
 // 200,000-line document shaped like e2ebench solo_edit's. B/op is what
-// one save allocates; doc-bytes is the size of the file it writes.
+// one save allocates; doc-bytes is the size of the file it writes, and
+// fsyncs/op the file and directory fsyncs one save makes.
 func BenchmarkStreamSave(b *testing.B) {
 	reg := benchRegistry(b)
 	path := filepath.Join(b.TempDir(), "save.d")
 	if err := persist.SaveDocument(persist.OS, path, text.NewString(soloShapedContent(200000))); err != nil {
 		b.Fatal(err)
 	}
-	df, err := persist.Load(persist.OS, path, reg, datastream.Strict)
+	fsys := &syncCountFS{FS: persist.OS}
+	df, err := persist.Load(fsys, path, reg, datastream.Strict)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,6 +156,7 @@ func BenchmarkStreamSave(b *testing.B) {
 	}
 	mid := df.Doc.Len() / 2
 	runtime.GC()
+	fsys.syncs = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := df.Doc.Insert(mid, "x"); err != nil {
@@ -169,6 +172,44 @@ func BenchmarkStreamSave(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(st.Size()), "doc-bytes")
+	b.ReportMetric(float64(fsys.syncs)/float64(b.N), "fsyncs/op")
+}
+
+// syncCountFS counts the file fsyncs and directory fsyncs made through
+// it, on files it created or opened for appending.
+type syncCountFS struct {
+	persist.FS
+	syncs int
+}
+
+func (c *syncCountFS) Create(name string) (persist.File, error) {
+	return c.count(c.FS.Create(name))
+}
+
+func (c *syncCountFS) OpenAppend(name string) (persist.File, error) {
+	return c.count(c.FS.OpenAppend(name))
+}
+
+func (c *syncCountFS) count(f persist.File, err error) (persist.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &syncCountFile{File: f, fs: c}, nil
+}
+
+func (c *syncCountFS) SyncDir(dir string) error {
+	c.syncs++
+	return c.FS.SyncDir(dir)
+}
+
+type syncCountFile struct {
+	persist.File
+	fs *syncCountFS
+}
+
+func (f *syncCountFile) Sync() error {
+	f.fs.syncs++
+	return f.File.Sync()
 }
 
 // BenchmarkStreamChunkedAttach measures a wire attach of a document far

@@ -22,6 +22,32 @@ import (
 	"atk/internal/wsys/termwin"
 )
 
+// TestE1RoutingAllocatesNothing: routing a click and its release down a
+// view tree and running the update cycle allocates nothing, at any depth
+// (EXPERIMENTS E1). The interaction manager's panic barrier names the
+// event it guards only after a panic.
+func TestE1RoutingAllocatesNothing(t *testing.T) {
+	for _, depth := range []int{1, 16} {
+		ws := memwin.New()
+		win, _ := ws.NewWindow("depth", 400, 300)
+		im := core.NewInteractionManager(ws, win)
+		inner := core.View(nullLeaf())
+		for i := 0; i < depth; i++ {
+			inner = widgets.NewBorder(inner, 1)
+		}
+		im.SetChild(inner)
+		im.FlushUpdates()
+		allocs := testing.AllocsPerRun(100, func() {
+			win.Inject(wsys.Click(150, 150))
+			win.Inject(wsys.Release(150, 150))
+			im.DrainEvents()
+		})
+		if allocs != 0 {
+			t.Errorf("depth %d: routing a click and release made %.1f allocations, want 0", depth, allocs)
+		}
+	}
+}
+
 // TestE7PortSurface counts the methods of the six porting classes (paper
 // §8: "six classes must be written, encompassing approximately 70
 // routines ... about 50 are normally simple transformations to the

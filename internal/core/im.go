@@ -254,11 +254,13 @@ func (im *InteractionManager) Menus() *MenuSet { return im.menus }
 func (im *InteractionManager) SetIdleHook(f func()) { im.idleHook = f }
 
 // safely runs f behind a recover barrier, reporting a panic through
-// PanicHandler and returning whether f completed.
-func (im *InteractionManager) safely(what string, f func()) (ok bool) {
+// PanicHandler and returning whether f completed. what names f's work
+// for the report and is called only after a panic, so a barrier whose
+// label names an event costs that event no allocation.
+func (im *InteractionManager) safely(what func() string, f func()) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			PanicHandler("interaction manager: "+what, p)
+			PanicHandler("interaction manager: "+what(), p)
 		}
 	}()
 	f()
@@ -291,10 +293,10 @@ func (im *InteractionManager) BrokenViews() int { return len(im.broken) }
 // idle hook (autosave) still run.
 func (im *InteractionManager) HandleEvent(ev wsys.Event) {
 	im.EventsHandled++
-	im.safely(fmt.Sprintf("dispatching %v event", ev.Kind), func() { im.dispatch(ev) })
+	im.safely(func() string { return fmt.Sprintf("dispatching %v event", ev.Kind) }, func() { im.dispatch(ev) })
 	im.FlushUpdates()
 	if ev.Kind == wsys.TickEvent && im.idleHook != nil {
-		im.safely("idle hook", im.idleHook)
+		im.safely(func() string { return "idle hook" }, im.idleHook)
 	}
 }
 

@@ -151,6 +151,30 @@ func TestDocFileSaveRotatesJournal(t *testing.T) {
 		t.Fatalf("got %q, want %q", got, wantPost)
 	}
 	_ = want
+
+	// A save that leaves the bytes as they were keeps the journal's
+	// binding: the old journal's synced insert, undone by a pending
+	// delete, must not come back once Save has returned.
+	mem = NewMemFS()
+	seedDoc(t, mem, "start\n")
+	df = load(t, mem, reg)
+	if err := df.StartJournal(); err != nil {
+		t.Fatal(err)
+	}
+	_ = df.Doc.Insert(0, "x")
+	if err := df.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_ = df.Doc.Delete(0, 1)
+	if err := df.Save(); err != nil {
+		t.Fatal(err)
+	}
+	mem.Crash()
+	df2 = load(t, mem, reg)
+	if df2.Replayed != 0 || df2.Doc.String() != "start\n" {
+		t.Fatalf("after a save of unchanged bytes: replayed %d, got %q, want %q (%v)",
+			df2.Replayed, df2.Doc.String(), "start\n", df2.RecoveryDiags)
+	}
 }
 
 func TestDocFileCloseDiscardsJournal(t *testing.T) {
@@ -528,9 +552,11 @@ func saveWriteSweep(t *testing.T, seed string, legal map[string]int) {
 	}
 }
 
-// TestCrashPointMatrixRecoveredPrefixesMonotonic re-runs a journal-only
-// session (no mid-save) and checks a sharper property: later crash points
-// never recover *less* than earlier ones once a sync has happened.
+// TestCrashPointMatrixMonotonicDurability re-runs a session of synced
+// edits with one save among them and checks a sharper property: later
+// crash points never recover *fewer* edits than earlier ones, whether
+// the file or the journal holds them, and after the session every synced
+// edit survives — the last three in the journal the save rotated in.
 func TestCrashPointMatrixMonotonicDurability(t *testing.T) {
 	reg := newReg(t)
 	const seed = "abcdefghij\n"
@@ -543,7 +569,15 @@ func TestCrashPointMatrixMonotonicDurability(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			_ = df.Doc.Insert(0, string(rune('A'+i)))
 			_ = df.Sync()
+			if i == 2 {
+				_ = df.Save()
+			}
 		}
+	}
+	// Each edit inserts one capital letter at the front.
+	recovered := func(df *DocFile) int {
+		s := df.Doc.String()
+		return len(s) - len(strings.TrimLeft(s, "ABCDEF"))
 	}
 	probeMem := NewMemFS()
 	seedDoc(t, probeMem, seed)
@@ -563,11 +597,11 @@ func TestCrashPointMatrixMonotonicDurability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crash point %d: %v", n, err)
 		}
-		if df.Replayed < last {
-			t.Fatalf("crash point %d: recovered %d edits, but point %d recovered %d",
-				n, df.Replayed, n-1, last)
+		if got := recovered(df); got < last {
+			t.Fatalf("crash point %d: recovered %d edits, but point %d recovered %d\ntrace: %v",
+				n, got, n-1, last, ffs.Trace())
 		}
-		last = df.Replayed
+		last = recovered(df)
 	}
 	// Crash after the session completes: every synced edit must survive.
 	mem := NewMemFS()
@@ -578,7 +612,75 @@ func TestCrashPointMatrixMonotonicDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if df.Replayed != 6 {
-		t.Fatalf("post-session crash recovered %d edits, want all 6", df.Replayed)
+	if got := recovered(df); got != 6 || df.Replayed != 3 {
+		t.Fatalf("post-session crash recovered %d edits, %d from the journal; want all 6, 3 from it", got, df.Replayed)
 	}
+}
+
+// TestSaveFlushBudget counts the flushes the lifecycle makes, from
+// FaultFS's trace: a save makes the two its guarantee needs, the
+// document's fsync and its directory's, whatever records are pending; a
+// journal started without records makes none; the first Sync with
+// records after either makes one fsync and one directory fsync, and each
+// later Sync one fsync. Only a save that leaves the bytes unchanged over
+// a journal with records flushes the new journal as well.
+func TestSaveFlushBudget(t *testing.T) {
+	mem := NewMemFS()
+	seedDoc(t, mem, bigContent(50))
+	ffs := NewFaultFS(mem)
+	df, err := Load(ffs, "doc.d", newReg(t), datastream.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, step func() error, fsyncs, dirSyncs int) {
+		t.Helper()
+		base := len(ffs.Trace())
+		if err := step(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		f, d := 0, 0
+		for _, op := range ffs.Trace()[base:] {
+			_, op, _ = strings.Cut(op, ":")
+			if strings.HasPrefix(op, "fsync ") {
+				f++
+			}
+			if strings.HasPrefix(op, "syncdir ") {
+				d++
+			}
+		}
+		if f != fsyncs || d != dirSyncs {
+			t.Errorf("%s: %d fsyncs and %d directory fsyncs, want %d and %d: %q",
+				what, f, d, fsyncs, dirSyncs, ffs.Trace()[base:])
+		}
+	}
+	edit := func() {
+		t.Helper()
+		if err := df.Doc.Insert(0, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("StartJournal", df.StartJournal, 0, 0)
+	edit()
+	check("first Sync after StartJournal", df.Sync, 1, 1)
+	for round := 0; round < 2; round++ {
+		edit()
+		edit()
+		check("Save with pending records", df.Save, 1, 1)
+		edit()
+		check("first Sync after the rotation", df.Sync, 1, 1)
+		for i := 0; i < 3; i++ {
+			edit()
+			check("later Sync", df.Sync, 1, 0)
+		}
+		check("Sync with nothing pending", df.Sync, 0, 0)
+	}
+	check("Save", df.Save, 1, 1)
+	check("Save with no edit since the last", df.Save, 1, 1)
+	edit()
+	check("first Sync after the rotation", df.Sync, 1, 1)
+	if err := df.Doc.Delete(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	check("Save of unchanged bytes over a synced record", df.Save, 2, 2)
+	check("Close", df.Close, 0, 1)
 }

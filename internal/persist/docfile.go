@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"path/filepath"
 
 	"atk/internal/class"
 	"atk/internal/core"
@@ -20,13 +21,18 @@ import (
 // either the last saved document or the saved document plus a prefix of
 // the journaled edits — never a torn hybrid. The moving parts:
 //
-//	save     AtomicWrite the serialized document, then atomically rewrite
-//	         the journal to an empty one bound to the new bytes. A crash
-//	         before the rename keeps the old file and old journal; after
-//	         it, the old journal no longer matches the file's CRC and is
-//	         ignored. Either way the invariant holds.
+//	save     AtomicWrite the serialized document, then rename in an empty
+//	         journal bound to the new bytes. The save's two flushes are
+//	         the document's fsync and its directory's; the sidecar and the
+//	         empty journal are not flushed. A crash before the document's
+//	         rename keeps the old file and old journal; after it, the old
+//	         journal no longer matches the file's CRC and is ignored.
+//	         Either way the invariant holds. (A save that leaves the bytes
+//	         unchanged keeps the CRC, so it flushes the new journal too
+//	         when the old one holds records.)
 //	edit     Each Insert/Delete/style change appends one CRC-framed record
-//	         to the journal (fsync-batched). A crash loses at most the
+//	         to the journal (fsync-batched; the first flush after a
+//	         rotation fsyncs the directory too). A crash loses at most the
 //	         unsynced tail of the batch.
 //	open     Load the file; if a journal bound to exactly these bytes is
 //	         present, the last session crashed — replay its records over
@@ -45,11 +51,13 @@ type DocFile struct {
 	Doc  *text.Data
 
 	journal *Journal
-	stale   bool // journal no longer reconstructs Doc; checkpoint needed
+	stale   bool // journal no longer reconstructs Doc, or its binding is unchecked; checkpoint needed
 	// crc is the CRC-32 of the file's bytes as this DocFile last read or
 	// wrote them, taken by whoever had them (or their CRC) in hand — Load,
 	// the streaming open's offset index, Save's offset index — so binding
-	// a journal to them never reads the file back just to hash it.
+	// a journal to them never reads the file back just to hash it. The
+	// streamed tail checks the index's value against the bytes it read
+	// (rebind).
 	crc uint32
 
 	// LoadDiags are datastream repair diagnostics from parsing the file.
@@ -136,8 +144,8 @@ const saveBuffer = 256 << 10
 // bytes' count and CRCs as they pass (indexWriter), the content's byte
 // range from the Writer, its rune and line counts from the document.
 // The sidecar is written only after the rename and the directory fsync,
-// so the file operations keep their order. It returns the index, whose
-// DocCRC binds a journal to the saved bytes.
+// so the file operations keep their order, and is not flushed (WriteIndex).
+// It returns the index, whose DocCRC binds a journal to the saved bytes.
 func save(fsys FS, path string, doc *text.Data) (*DocIndex, error) {
 	// A streamed document saves its tail too — and if the tail could not
 	// be loaded, overwriting the original with the truncated buffer would
@@ -364,6 +372,8 @@ func (df *DocFile) wireComponents() {
 
 // StartJournalDetached begins journaling WITHOUT installing the document's
 // edit logger: the owner appends records explicitly with AppendRecord.
+// Records recovered at load are carried into the new journal durably; a
+// journal without them is flushed by its first Sync with records.
 // This is the replication-server mode (internal/docserve): the server
 // applies client ops with ApplyRecord — which deliberately bypasses the
 // edit logger — and journals exactly the records it commits, in its own
@@ -374,7 +384,6 @@ func (df *DocFile) StartJournalDetached() error {
 		return err
 	}
 	df.journal = j
-	df.stale = false
 	return nil
 }
 
@@ -393,6 +402,27 @@ func (df *DocFile) AppendRecord(payload string) error {
 // last read or wrote them: the whole file at Load, and the bytes written
 // by the last successful Save.
 func (df *DocFile) FileCRC() uint32 { return df.crc }
+
+// rebind adopts crc, the CRC-32 of the bytes a streamed open read, when
+// the offset index's DocCRC was not theirs — a stale sidecar whose size
+// and head matched a newer file — and re-creates the journal bound to
+// it, since recovery would ignore one bound to the index's value. That
+// journal holds no record yet: load-before-mutate loads the whole tail
+// before any edit is logged. If the new journal cannot be created, the
+// DocFile goes stale, and the next Sync checkpoints.
+func (df *DocFile) rebind(crc uint32) {
+	df.crc = crc
+	if df.journal == nil {
+		return
+	}
+	j, err := CreateJournal(df.fsys, JournalPath(df.Path), baseHeader(crc), nil)
+	if err != nil {
+		df.stale = true
+		return
+	}
+	df.journal.discard()
+	df.journal = j
+}
 
 // logEdit is the document's edit logger. An unjournalable edit appends the
 // reset marker, forces it to disk, and stops logging until the next
@@ -442,6 +472,7 @@ func (df *DocFile) Sync() error {
 // Save atomically writes the document to its path and rotates the journal
 // to a fresh one bound to the new bytes.
 func (df *DocFile) Save() error {
+	prev := df.crc
 	ix, err := save(df.fsys, df.Path, df.Doc)
 	if err != nil {
 		return err
@@ -452,12 +483,20 @@ func (df *DocFile) Save() error {
 	if df.journal == nil {
 		return nil
 	}
-	// Rotate: the old journal (bound to the old bytes) is atomically
-	// replaced by an empty one bound to the new bytes. Its handle's errors
-	// no longer matter — the records it guarded are in the saved file.
-	_ = df.journal.Close()
+	// Rotate: the old journal (bound to the old bytes) is replaced by an
+	// empty one bound to the new bytes. The records the old one guarded
+	// are in the saved file, so its pending records are not flushed, and
+	// nor, as a rule, is the new journal (CreateJournal); the next Sync
+	// with records is. Until then a crash can bring back the old journal
+	// as it was last synced. Recovery ignores it when it is bound to other
+	// bytes or holds no record — but a save that left the bytes as they
+	// were keeps its binding, and its synced records would replay over the
+	// saved file, bringing back edits undone before the save. Then the new
+	// journal is made durable before Save returns.
+	durable := df.crc == prev && df.journal.seq > 0
+	df.journal.discard()
 	df.journal = nil
-	j, err := CreateJournal(df.fsys, JournalPath(df.Path), baseHeader(df.crc), nil)
+	j, err := createJournal(df.fsys, JournalPath(df.Path), baseHeader(df.crc), nil, durable)
 	if err != nil {
 		df.stale = false
 		return fmt.Errorf("document saved, but journaling could not restart: %w", err)
@@ -477,8 +516,11 @@ func (df *DocFile) Save() error {
 func (df *DocFile) Dirty() bool { return df.Doc.Dirty() }
 
 // Close ends the session cleanly: logging stops and the journal file is
-// removed. Discarding unsaved edits on an orderly exit is deliberate —
-// the user chose not to save — so only a crash leaves a journal behind.
+// removed, durably — one directory fsync, so that a crash after a clean
+// exit cannot bring back a journal the exit discarded. Discarding unsaved
+// edits on an orderly exit is deliberate — the user chose not to save —
+// so the journal's pending records are not flushed, and only a crash
+// leaves a journal behind.
 func (df *DocFile) Close() error {
 	df.Doc.SetEditLogger(nil)
 	// A streamed document's tail loader holds the file open; release it.
@@ -487,10 +529,12 @@ func (df *DocFile) Close() error {
 	if df.journal == nil {
 		return nil
 	}
-	_ = df.journal.Close()
+	df.journal.discard()
 	df.journal = nil
 	if Exists(df.fsys, JournalPath(df.Path)) {
-		return df.fsys.Remove(JournalPath(df.Path))
+		if err := df.fsys.Remove(JournalPath(df.Path)); err != nil {
+			return err
+		}
 	}
-	return nil
+	return df.fsys.SyncDir(filepath.Dir(df.Path))
 }

@@ -23,10 +23,12 @@ import (
 // path trusts the index only when the file's size equals docLen AND the
 // CRC of its first headLen bytes equals headCRC. docCRC is the CRC of the
 // whole file, carried so the journal can be bound to the saved bytes
-// without re-reading them. An index that fails any check — bad magic,
-// torn record, CRC mismatch, stale binding — is simply not used; the open
-// falls back to the full parse. The index is an accelerator, never an
-// authority: wrong bytes are impossible, only slow opens.
+// without re-reading them; the streamed open checks it against the bytes
+// it reads once the tail is in (tailLoader.end), because a stale sidecar
+// can pass the size and head checks. An index that fails any check — bad
+// magic, torn record, CRC mismatch, stale binding — is simply not used;
+// the open falls back to the full parse. The index is an accelerator,
+// never an authority: wrong bytes are impossible, only slow opens.
 
 // IndexMagic is the first line of every offset-index sidecar.
 const IndexMagic = "%atkindex1"
@@ -77,9 +79,13 @@ func (ix *DocIndex) records() []string {
 	}
 }
 
-// WriteIndex atomically writes the sidecar for path.
+// WriteIndex writes the sidecar for path through a temporary file and a
+// rename, with no flush: it is an accelerator, and after a crash it may
+// be missing, torn, or the previous save's. LoadIndex rejects the first
+// two and a stale one whose size or head differs from the file's; the
+// streamed open catches the rest by the CRC of the bytes it reads.
 func WriteIndex(fsys FS, path string, ix *DocIndex) error {
-	return WriteRecordFile(fsys, IndexPath(path), IndexMagic, ix.records())
+	return writeRecordFile(fsys, IndexPath(path), IndexMagic, ix.records(), false)
 }
 
 // parseIndex decodes the sidecar's record payloads. Any malformed or

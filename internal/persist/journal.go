@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 )
 
 // The edit journal is an append-only write-ahead log in the CRC record
@@ -38,25 +39,41 @@ type Journal struct {
 	// every append durable immediately. Set before the first Append.
 	BatchEvery int
 	pending    int
-	err        error
+	// unnamed reports that the rename which created the file is not yet
+	// durable: the first flush of records fsyncs the directory as well.
+	unnamed bool
+	err     error
 	// wbuf/scratch are reusable append buffers (see appendFrameRecord).
 	wbuf    []byte
 	scratch []byte
 }
 
-// CreateJournal atomically writes a fresh journal at path containing the
-// header and any carried-over records, then reopens it for appending. The
-// atomic rewrite means a crash mid-creation leaves either the previous
-// journal or the complete new one.
+// CreateJournal writes a fresh journal at path containing the header and
+// any carried-over records into a temporary file, renames it over path,
+// and reopens it for appending; a crash mid-creation leaves either the
+// previous journal or the complete new one. A journal created with
+// records is durable when CreateJournal returns. One created without is
+// not flushed, because it guards nothing yet: a crash may leave the
+// previous journal in its place, or an empty or torn file, and recovery
+// ignores both — the one is bound to other bytes than the file's (or
+// holds the same records), the other has no header. The first flush of
+// records fsyncs the file and then the directory.
 func CreateJournal(fsys FS, path, header string, records []string) (*Journal, error) {
-	if err := WriteRecordFile(fsys, path, JournalMagic, append([]string{header}, records...)); err != nil {
+	return createJournal(fsys, path, header, records, len(records) > 0)
+}
+
+// createJournal is CreateJournal, with the new journal durable when it
+// returns if durable is set: DocFile.Save sets it when the previous
+// journal would not be ignored.
+func createJournal(fsys FS, path, header string, records []string, durable bool) (*Journal, error) {
+	if err := writeRecordFile(fsys, path, JournalMagic, append([]string{header}, records...), durable); err != nil {
 		return nil, err
 	}
 	f, err := fsys.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{fsys: fsys, path: path, f: f, seq: uint64(len(records)), BatchEvery: DefaultBatchEvery}, nil
+	return &Journal{fsys: fsys, path: path, f: f, seq: uint64(len(records)), BatchEvery: DefaultBatchEvery, unnamed: !durable}, nil
 }
 
 // OpenJournal reopens an existing, fully valid journal for appending,
@@ -114,9 +131,24 @@ func (j *Journal) Sync() error {
 	if j.pending == 0 {
 		return nil
 	}
-	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("persist: journal sync: %w", err)
+	if err := j.flush(); err != nil {
+		j.err = err
 		return j.err
+	}
+	return nil
+}
+
+// flush makes the pending records durable: it fsyncs the file and, the
+// first time, the directory whose entry names it.
+func (j *Journal) flush() error {
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("persist: journal sync: %w", err)
+	}
+	if j.unnamed {
+		if err := j.fsys.SyncDir(filepath.Dir(j.path)); err != nil {
+			return fmt.Errorf("persist: journal directory sync: %w", err)
+		}
+		j.unnamed = false
 	}
 	j.pending = 0
 	return nil
@@ -141,15 +173,13 @@ func (j *Journal) Close() error {
 	}
 	err := j.err
 	if j.pending > 0 {
-		if serr := j.f.Sync(); serr != nil {
+		if ferr := j.flush(); ferr != nil {
 			if j.err == nil {
-				j.err = fmt.Errorf("persist: journal sync: %w", serr)
+				j.err = ferr
 			}
 			if err == nil {
 				err = j.err
 			}
-		} else {
-			j.pending = 0
 		}
 	}
 	if cerr := j.f.Close(); cerr != nil {
@@ -162,6 +192,15 @@ func (j *Journal) Close() error {
 	}
 	j.f = nil
 	return err
+}
+
+// discard closes the journal without flushing its pending records: the
+// saved file holds them, or the user chose to drop them.
+func (j *Journal) discard() {
+	if j.f != nil {
+		_ = j.f.Close() // it can lose only records no one needs
+		j.f = nil
+	}
 }
 
 // Replay is the result of reading a journal back.

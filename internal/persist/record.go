@@ -78,13 +78,25 @@ func encodeRecords(magic string, payloads []string) []byte {
 }
 
 // WriteRecordFile atomically replaces path with a record file holding
-// payloads under magic: a crash leaves the old file or the whole new one.
+// payloads under magic: a crash leaves the old file or the whole new one,
+// and the new one is durable when it returns.
 func WriteRecordFile(fsys FS, path, magic string, payloads []string) error {
+	return writeRecordFile(fsys, path, magic, payloads, true)
+}
+
+// writeRecordFile is WriteRecordFile, with the flushes only when durable
+// is set; without them a crash may leave path old, missing, empty or
+// torn (replaceFile).
+func writeRecordFile(fsys FS, path, magic string, payloads []string, durable bool) error {
 	b := encodeRecords(magic, payloads)
-	return AtomicWrite(fsys, path, func(w io.Writer) error {
+	write := func(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
-	})
+	}
+	if durable {
+		return AtomicWrite(fsys, path, write)
+	}
+	return replaceFile(fsys, path, false, write)
 }
 
 // ReadRecordFile reads the record file at path strictly: a wrong magic,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"unicode/utf8"
@@ -31,6 +32,11 @@ import (
 // leftover journal (recovery replays edits over the document and needs
 // all of it). The fallback is the one rule every corruption case
 // reduces to — a bad index can cost time, but it cannot change bytes.
+//
+// Nor can it misbind the journal: the index's DocCRC binds the journal
+// only until the tail is in, and the tail loader then checks it against
+// the CRC of every byte it read (tailLoader.end), because a stale sidecar
+// (WriteIndex does not flush) can pass LoadIndex's size and head checks.
 
 // tailChunkBytes is how much raw file the tail loader decodes per
 // LoadMore step, and the size of its read buffer.
@@ -63,12 +69,13 @@ func tryLoadStreaming(fsys FS, path string, reg *class.Registry, mode datastream
 	if err != nil {
 		return nil
 	}
+	sum := &crcReader{r: f}
 	// Parse the head — everything before the content — as a complete
 	// document by appending the end marker the real file keeps ContentEnd
 	// bytes later. ContentStart is a line start, so the prefix is
 	// newline-terminated and the synthesized marker lands on its own line.
 	head := make([]byte, idx.ContentStart, idx.ContentStart+64)
-	if _, err := io.ReadFull(f, head); err != nil {
+	if _, err := io.ReadFull(sum, head); err != nil {
 		_ = f.Close()
 		return nil
 	}
@@ -85,20 +92,23 @@ func tryLoadStreaming(fsys FS, path string, reg *class.Registry, mode datastream
 		return nil
 	}
 	doc.SetRegistry(reg)
+	df := &DocFile{fsys: fsys, Path: path, Doc: doc, crc: idx.DocCRC}
 	// The head read leaves the file at ContentStart: the tail reads on
 	// from there, front to back, and stops at ContentEnd.
-	content := &io.LimitedReader{R: f, N: idx.ContentEnd - idx.ContentStart}
+	content := &io.LimitedReader{R: sum, N: idx.ContentEnd - idx.ContentStart}
 	br := bufio.NewReaderSize(content, tailChunkBytes)
 	doc.SetTailLoader(&tailLoader{
 		f:          f,
+		sum:        sum,
 		content:    content,
 		br:         br,
 		lr:         datastream.NewLineReader(br, datastream.DefaultLimits.MaxLineBytes),
+		df:         df,
+		docLen:     idx.DocLen,
 		totalRunes: idx.ContentRunes(),
 		totalLines: idx.Lines,
 	})
 	doc.MarkClean()
-	df := &DocFile{fsys: fsys, Path: path, Doc: doc, crc: idx.DocCRC}
 	for _, d := range r.Diagnostics() {
 		df.LoadDiags = append(df.LoadDiags, d.String())
 	}
@@ -110,9 +120,13 @@ func tryLoadStreaming(fsys FS, path string, reg *class.Registry, mode datastream
 // parser would have.
 type tailLoader struct {
 	f       File              // keeps the document file open; Close releases it
+	sum     *crcReader        // every byte read from f, and their CRC
 	content *io.LimitedReader // the file from ContentStart to ContentEnd
 	br      *bufio.Reader     // reads content a chunk at a time
 	lr      *datastream.LineReader
+
+	df     *DocFile // the open's DocFile, bound to the index's DocCRC
+	docLen int64    // the index's DocLen
 
 	linesOut   int // logical lines fully delivered
 	runesOut   int // content runes delivered (join newlines included)
@@ -146,7 +160,7 @@ func (t *tailLoader) Next(dst []byte) ([]byte, error) {
 		switch {
 		case err == nil:
 		case err == io.EOF:
-			t.err = io.EOF
+			t.err = t.end()
 		case err == datastream.ErrNoNewline, err == io.ErrUnexpectedEOF:
 			t.err = fmt.Errorf("persist: streamed content ends mid-line (offset index out of step with file)")
 		default: // an undecodable or overlong line, or the file failed
@@ -171,6 +185,38 @@ func (t *tailLoader) Next(dst []byte) ([]byte, error) {
 		}
 	}
 	return dst, nil
+}
+
+// end finishes the hash of the file once the content is in: it reads on
+// through the end marker to the end of the file, and rebinds the DocFile
+// if the bytes were not the ones the index's DocLen and DocCRC describe.
+// It returns io.EOF: the content is in even when that read fails, and
+// then, with the binding unchecked, the DocFile goes stale, so the next
+// Sync checkpoints rather than trust the index's DocCRC.
+func (t *tailLoader) end() error {
+	if _, err := io.Copy(io.Discard, t.sum); err != nil {
+		t.df.stale = true
+		return io.EOF
+	}
+	if t.sum.n != t.docLen || t.sum.crc != t.df.crc {
+		t.df.rebind(t.sum.crc)
+	}
+	return io.EOF
+}
+
+// crcReader passes reads through and keeps the count and the CRC-32 of
+// the bytes read.
+type crcReader struct {
+	r   io.Reader
+	n   int64
+	crc uint32
+}
+
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	return n, err
 }
 
 // RemainingBytes is the content bytes not yet decoded, in the file and

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -147,7 +148,8 @@ func TestStreamedJournalBindsToSavedBytes(t *testing.T) {
 	if err := SaveDocument(mem, "doc.d", text.NewString(content)); err != nil {
 		t.Fatal(err)
 	}
-	df, err := LoadStreaming(mem, "doc.d", reg, datastream.Strict)
+	ffs := NewFaultFS(mem)
+	df, err := LoadStreaming(ffs, "doc.d", reg, datastream.Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +165,17 @@ func TestStreamedJournalBindsToSavedBytes(t *testing.T) {
 	if err := df.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	// The tail's CRC of the file agreed with the fresh sidecar's, so the
+	// journal StartJournal created is the only one.
+	created := 0
+	for _, op := range ffs.Trace() {
+		if strings.HasSuffix(op, ":create "+JournalPath("doc.d")+".tmp") {
+			created++
+		}
+	}
+	if created != 1 {
+		t.Fatalf("the session created %d journals, want 1: %q", created, ffs.Trace())
+	}
 	mem.SyncDir("")
 	// Crash: no Close, reopen from disk.
 	rec := load(t, mem, reg)
@@ -171,6 +184,103 @@ func TestStreamedJournalBindsToSavedBytes(t *testing.T) {
 	}
 	if got := docText(rec.Doc); got != "recovered"+content {
 		t.Fatal("recovery over streamed-session journal produced wrong content")
+	}
+}
+
+// TestStaleSidecarDoesNotLoseSyncedEdits: a sidecar is not flushed, so a
+// crash after a save's directory fsync can leave the previous save's
+// beside the new file. When the two files have the same length and the
+// same first 4 KiB, that sidecar passes LoadIndex, and the streamed open
+// binds its journal to the old file's CRC until the tail is in. The
+// tail's CRC of the file must then rebind the journal, or an edit that
+// Sync returned for is ignored at the next recovery.
+func TestStaleSidecarDoesNotLoseSyncedEdits(t *testing.T) {
+	reg := newReg(t)
+	v1 := strings.Repeat("abcdefghijklmnopqrstuvwxyz0123456789\n", 400)
+	at := 2*headProbe + strings.IndexByte(v1[2*headProbe:], 'm')
+	v2 := v1[:at] + "M" + v1[at+1:] // one byte past the head probe differs
+	seed := func(mem *MemFS) {
+		if err := SaveDocument(mem, "doc.d", text.NewString(v1)); err != nil {
+			t.Fatal(err)
+		}
+		// A disk writes an unflushed file back within about half a minute;
+		// MemFS never does, so v1's sidecar is made durable here.
+		ib, err := ReadFile(mem, IndexPath("doc.d"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AtomicWrite(mem, IndexPath("doc.d"), func(w io.Writer) error {
+			_, err := w.Write(ib)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The crash point: the first operation after v2's directory fsync,
+	// which is the creation of its sidecar.
+	probeMem := NewMemFS()
+	seed(probeMem)
+	probe := NewFaultFS(probeMem)
+	if err := SaveDocument(probe, "doc.d", text.NewString(v2)); err != nil {
+		t.Fatal(err)
+	}
+	crashAt := 0
+	for i, op := range probe.Trace() {
+		if strings.HasSuffix(op, ":syncdir .") {
+			crashAt = i + 2
+			break
+		}
+	}
+	if crashAt == 0 {
+		t.Fatalf("no directory fsync in the save's trace %q", probe.Trace())
+	}
+	mem := NewMemFS()
+	seed(mem)
+	ffs := NewFaultFS(mem)
+	ffs.CrashAfter = crashAt
+	ffs.OnCrash = mem.Crash
+	_ = SaveDocument(ffs, "doc.d", text.NewString(v2))
+	if !ffs.Crashed() {
+		t.Fatal("the crash point never fired")
+	}
+	ix, err := LoadIndex(mem, "doc.d")
+	if err != nil {
+		t.Fatalf("the previous save's sidecar does not validate: %v", err)
+	}
+	raw, err := ReadFile(mem, "doc.d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.DocCRC == crc32.ChecksumIEEE(raw) {
+		t.Fatal("the sidecar left by the crash is not stale")
+	}
+
+	df, err := LoadStreaming(mem, "doc.d", reg, datastream.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !df.Doc.Pending() {
+		t.Fatal("streaming open did not defer the content")
+	}
+	if err := df.StartJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := df.Doc.Insert(0, "synced "); err != nil {
+		t.Fatal(err)
+	}
+	if err := df.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if df.FileCRC() != crc32.ChecksumIEEE(raw) {
+		t.Errorf("FileCRC %08x after the tail, file bytes %08x", df.FileCRC(), crc32.ChecksumIEEE(raw))
+	}
+	mem.Crash()
+	rec := load(t, mem, reg)
+	if rec.Replayed != 1 {
+		t.Fatalf("replayed %d edits, want the synced one: %v", rec.Replayed, rec.RecoveryDiags)
+	}
+	if got := docText(rec.Doc); got != "synced "+v2 {
+		t.Fatal("recovery over the rebound journal produced wrong content")
 	}
 }
 
@@ -356,11 +466,13 @@ func TestCorruptIndexFallsBackToFullParse(t *testing.T) {
 	}
 }
 
-// readCountFS counts the bytes read from one of its files.
+// readCountFS counts the bytes read from one of its files. When failAt
+// is set, each handle on that file fails its reads past failAt bytes.
 type readCountFS struct {
 	FS
-	name string
-	read int
+	name   string
+	read   int
+	failAt int
 }
 
 func (c *readCountFS) Open(name string) (File, error) {
@@ -368,18 +480,75 @@ func (c *readCountFS) Open(name string) (File, error) {
 	if err != nil || name != c.name {
 		return f, err
 	}
-	return &readCountFile{f, c}, nil
+	return &readCountFile{File: f, fs: c}, nil
 }
 
 type readCountFile struct {
 	File
 	fs *readCountFS
+	n  int // bytes read through this handle
 }
 
 func (f *readCountFile) Read(p []byte) (int, error) {
+	if f.fs.failAt > 0 {
+		if f.n >= f.fs.failAt {
+			return 0, errors.New("injected read fault")
+		}
+		p = p[:min(len(p), f.fs.failAt-f.n)]
+	}
 	n, err := f.File.Read(p)
+	f.n += n
 	f.fs.read += n
 	return n, err
+}
+
+// TestStreamedEndReadFaultStillSaves: once the content is in, the tail
+// reads the end marker only to check the file's CRC. If that read fails,
+// the document is still complete and can be saved; the DocFile goes
+// stale, so the next Sync checkpoints the edit instead of journaling it
+// under a binding no one checked — whether the tail came in before the
+// journal started or after.
+func TestStreamedEndReadFaultStillSaves(t *testing.T) {
+	reg := newReg(t)
+	content := bigContent(80)
+	for _, loadFirst := range []bool{false, true} {
+		mem := NewMemFS()
+		if err := SaveDocument(mem, "doc.d", text.NewString(content)); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := LoadIndex(mem, "doc.d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsys := &readCountFS{FS: mem, name: "doc.d", failAt: int(ix.ContentEnd)}
+		df, err := LoadStreaming(fsys, "doc.d", reg, datastream.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !df.Doc.Pending() {
+			t.Fatal("streaming open did not defer the content")
+		}
+		if loadFirst {
+			if err := df.Doc.LoadAll(); err != nil {
+				t.Fatalf("tail before the journal: %v", err)
+			}
+		}
+		if err := df.StartJournal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := df.Doc.Insert(0, "kept "); err != nil {
+			t.Fatalf("edit after the tail: %v", err)
+		}
+		if err := df.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		mem.Crash()
+		rec := load(t, mem, reg)
+		if rec.Replayed != 0 || docText(rec.Doc) != "kept "+content {
+			t.Fatalf("tail before the journal %v: replayed %d, content right %v: the Sync did not checkpoint the edit (%v)",
+				loadFirst, rec.Replayed, docText(rec.Doc) == "kept "+content, rec.RecoveryDiags)
+		}
+	}
 }
 
 // TestStreamedTailLineBound: the streamed tail bounds a physical line as

@@ -231,8 +231,9 @@ type BenchGate struct {
 // an order-of-magnitude regression (or a vanished metric) trips them,
 // except the size ratios, which hold a keystroke's cost flat in
 // document size, the save's allocation bound, which holds a save to a
-// fixed amount of memory whatever the document's size, and the join's,
-// which holds a join to a few copies of the document.
+// fixed amount of memory whatever the document's size, the save's flush
+// count, and the join's allocation bound, which holds a join to a few
+// copies of the document.
 func DefaultBenchGates() []BenchGate {
 	return []BenchGate{
 		{Name: "fanout_allocs", Bench: "DocServeFanout", Metric: "allocs_per_op", Op: "<=", Threshold: 128},
@@ -270,6 +271,12 @@ func DefaultBenchGates() []BenchGate {
 		// may allocate at most 1 MiB, a bound that does not grow with
 		// the document.
 		{Name: "stream_save_bytes", Bench: "StreamSave", Metric: "bytes_per_op", Op: "<=", Threshold: 1 << 20},
+		// A save flushes what its old-or-journaled guarantee needs and no
+		// more: the document's fsync and its directory's. The offset
+		// index and the rotated journal are renamed in unflushed, and the
+		// retired journal's pending records, which the saved file holds,
+		// are dropped (DESIGN §9). A count, so the machine cannot move it.
+		{Name: "save_fsyncs", Bench: "StreamSave", Metric: "extra:fsyncs/op", Op: "<=", Threshold: 2},
 		// A cache-miss join copies the document a fixed number of times
 		// at each end: one join of BenchmarkDocServeJoin's 123,917-byte
 		// document may allocate at most 8 bytes per document byte
